@@ -11,10 +11,8 @@
 namespace bhpo {
 
 // Dense row-major matrix of doubles. This is the numeric workhorse for the
-// MLP substrate and the clustering substrate; it favors clarity and cache
-// friendliness (contiguous storage, tiled-free straightforward loops) over
-// BLAS-level tuning, which is sufficient for the dataset scales this library
-// targets.
+// MLP substrate and the clustering substrate; products are the `...Into`
+// kernels after the class, which write into caller-owned storage.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
@@ -69,13 +67,6 @@ class Matrix {
 
   Matrix Transpose() const;
 
-  // this (rows x cols) * other (cols x k) -> (rows x k).
-  Matrix MatMul(const Matrix& other) const;
-  // this^T * other, without materializing the transpose.
-  Matrix TransposeMatMul(const Matrix& other) const;
-  // this * other^T, without materializing the transpose.
-  Matrix MatMulTranspose(const Matrix& other) const;
-
   // Elementwise in-place ops; shapes must match.
   void Add(const Matrix& other);
   void Sub(const Matrix& other);
@@ -105,6 +96,60 @@ class Matrix {
   size_t cols_;
   std::vector<double> data_;
 };
+
+// Non-owning row-major views over caller-owned storage: the operands of the
+// allocation-free kernels below. A view must not outlive its storage.
+struct ConstMatrixView {
+  const double* data = nullptr;
+  size_t rows = 0;
+  size_t cols = 0;
+
+  ConstMatrixView() = default;
+  ConstMatrixView(const double* d, size_t r, size_t c)
+      : data(d), rows(r), cols(c) {}
+  // Implicit, so every Matrix is usable where a read-only view is expected.
+  ConstMatrixView(const Matrix& m)  // NOLINT(google-explicit-constructor)
+      : data(m.data().data()), rows(m.rows()), cols(m.cols()) {}
+
+  size_t size() const { return rows * cols; }
+  const double* Row(size_t r) const { return data + r * cols; }
+};
+
+struct MatrixView {
+  double* data = nullptr;
+  size_t rows = 0;
+  size_t cols = 0;
+
+  MatrixView() = default;
+  MatrixView(double* d, size_t r, size_t c) : data(d), rows(r), cols(c) {}
+  MatrixView(Matrix& m)  // NOLINT(google-explicit-constructor)
+      : data(m.data().data()), rows(m.rows()), cols(m.cols()) {}
+
+  size_t size() const { return rows * cols; }
+  double* Row(size_t r) const { return data + r * cols; }
+  operator ConstMatrixView() const {  // NOLINT(google-explicit-constructor)
+    return ConstMatrixView(data, rows, cols);
+  }
+};
+
+// Allocation-free products into caller-owned `out`, which is fully
+// overwritten and must not alias an operand. Each output entry is summed in
+// the reference order: k ascending, seeded at +0.0, one rounding per
+// multiply and per add (the library builds with -ffp-contract=off, so no
+// FMA). Results are therefore bit-identical to the textbook loops, which
+// MatMulInto and TransposeMatMulInto still run, skipping zero entries of
+// `a`, whenever `b` holds an Inf or NaN. DESIGN.md "The MLP fit engine"
+// gives the argument.
+//
+// out (a.rows x b.cols) = a * b.
+void MatMulInto(ConstMatrixView a, ConstMatrixView b, MatrixView out);
+// out (a.cols x b.cols) = a^T * b, without materializing the transpose.
+void TransposeMatMulInto(ConstMatrixView a, ConstMatrixView b,
+                         MatrixView out);
+// out (a.rows x b.rows) = a * b^T. `bt` is scratch of shape
+// (b.cols x b.rows) that receives the transpose of b.
+void MatMulTransposeInto(ConstMatrixView a, ConstMatrixView b, MatrixView bt,
+                         MatrixView out);
 
 }  // namespace bhpo
 

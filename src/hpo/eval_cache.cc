@@ -65,14 +65,17 @@ void EvalCache::Insert(const Key& key, Entry entry) {
       }
     }
   }
-  if (inserted) {
-    stats_.insertions.fetch_add(1, std::memory_order_relaxed);
-    stats_.entries.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!inserted) return;
+  stats_.insertions.fetch_add(1, std::memory_order_relaxed);
   if (evicted > 0) {
     stats_.evictions.fetch_add(evicted, std::memory_order_relaxed);
-    stats_.entries.fetch_sub(evicted, std::memory_order_relaxed);
   }
+  // One net residency delta per insert. Publishing +1 and -evicted as two
+  // updates would let a concurrent Stats() see capacity + 1 in between. The
+  // shard held at most its capacity before this insert, so evicted <= 1:
+  // every delta is 0 or +1, and the counter never runs ahead of the true
+  // residency. (size_t arithmetic is modular, so 1 - evicted is exact.)
+  stats_.entries.fetch_add(1 - evicted, std::memory_order_relaxed);
 }
 
 std::optional<EvalCache::FoldScore> EvalCache::LookupFold(uint64_t config_hash,

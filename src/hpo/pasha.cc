@@ -32,6 +32,7 @@ struct RungEntry {
   Configuration config;
   double score;
   bool promoted;
+  bool failed;  // Demoted evaluation (sentinel score).
 };
 
 }  // namespace
@@ -59,7 +60,6 @@ Result<HpoResult> Pasha::Optimize(const Dataset& train, Rng* rng) {
 
   std::vector<std::vector<RungEntry>> rungs(rung_budget.size());
   HpoResult result;
-  bool have_best = false;
   // Same per-(config, budget) stream scheme as ASHA; see asha.cc.
   uint64_t eval_root = rng->engine()();
 
@@ -70,17 +70,12 @@ Result<HpoResult> Pasha::Optimize(const Dataset& train, Rng* rng) {
         EvalResult eval,
         EvaluateOrDemote(strategy_, config, train, rung_budget[rung],
                          &eval_rng));
-    rungs[rung].push_back({config, eval.score, false});
+    rungs[rung].push_back({config, eval.score, false, eval.eval_failed});
     result.history.push_back(
         {config, eval.score, eval.budget_used, eval.eval_failed});
     ++result.num_evaluations;
     result.total_instances += eval.budget_used;
     AccumulateFaults(eval, &result.faults);
-    if (!have_best || (rung == active_top && eval.score > result.best_score)) {
-      result.best_score = eval.score;
-      result.best_config = config;
-      have_best = true;
-    }
     return Status::OK();
   };
 
@@ -135,22 +130,23 @@ Result<HpoResult> Pasha::Optimize(const Dataset& train, Rng* rng) {
     maybe_grow();
   }
 
-  // Best = best score in the highest populated rung.
-  have_best = false;
-  for (size_t k = rungs.size(); k-- > 0;) {
-    if (rungs[k].empty()) continue;
+  // ASHA's incumbent rule: the best non-demoted entry of the highest rung
+  // that has one. Only when every evaluation was demoted does a sentinel
+  // entry of the highest populated rung stand.
+  const RungEntry* best = nullptr;
+  for (size_t k = rungs.size(); k-- > 0 && best == nullptr;) {
     for (const RungEntry& e : rungs[k]) {
-      if (!have_best || e.score > result.best_score) {
-        result.best_score = e.score;
-        result.best_config = e.config;
-        have_best = true;
-      }
+      if (!e.failed && (best == nullptr || e.score > best->score)) best = &e;
     }
-    break;
   }
-  if (!have_best) {
+  for (size_t k = rungs.size(); k-- > 0 && best == nullptr;) {
+    if (!rungs[k].empty()) best = &rungs[k].front();
+  }
+  if (best == nullptr) {
     return Status::Internal("pasha ran no evaluations");
   }
+  result.best_score = best->score;
+  result.best_config = best->config;
   return result;
 }
 

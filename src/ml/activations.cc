@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace bhpo {
 
 Result<Activation> ActivationFromString(const std::string& name) {
@@ -27,60 +31,71 @@ const char* ActivationToString(Activation activation) {
   return "?";
 }
 
-void ApplyActivation(Activation activation, Matrix* values) {
-  BHPO_CHECK(values != nullptr);
+void ApplyActivation(Activation activation, MatrixView values) {
+  double* x = values.data;
+  size_t n = values.size();
   switch (activation) {
     case Activation::kIdentity:
       return;
     case Activation::kLogistic:
-      for (double& x : values->data()) x = 1.0 / (1.0 + std::exp(-x));
+      for (size_t i = 0; i < n; ++i) x[i] = 1.0 / (1.0 + std::exp(-x[i]));
       return;
     case Activation::kTanh:
-      for (double& x : values->data()) x = std::tanh(x);
+      for (size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
       return;
     case Activation::kRelu:
-      for (double& x : values->data()) x = std::max(0.0, x);
+      for (size_t i = 0; i < n; ++i) x[i] = std::max(0.0, x[i]);
       return;
   }
 }
 
-void ActivationDerivativeFromOutput(Activation activation,
-                                    const Matrix& activated,
-                                    Matrix* derivative) {
-  BHPO_CHECK(derivative != nullptr);
-  *derivative = Matrix(activated.rows(), activated.cols());
-  const std::vector<double>& a = activated.data();
-  std::vector<double>& d = derivative->data();
+void MultiplyByActivationDerivative(Activation activation,
+                                    ConstMatrixView activated,
+                                    MatrixView values) {
+  BHPO_CHECK(activated.rows == values.rows && activated.cols == values.cols);
+  const double* a = activated.data;
+  double* v = values.data;
+  size_t n = values.size();
   switch (activation) {
     case Activation::kIdentity:
-      std::fill(d.begin(), d.end(), 1.0);
       return;
     case Activation::kLogistic:
-      for (size_t i = 0; i < a.size(); ++i) d[i] = a[i] * (1.0 - a[i]);
+      for (size_t i = 0; i < n; ++i) v[i] *= a[i] * (1.0 - a[i]);
       return;
     case Activation::kTanh:
-      for (size_t i = 0; i < a.size(); ++i) d[i] = 1.0 - a[i] * a[i];
+      for (size_t i = 0; i < n; ++i) v[i] *= 1.0 - a[i] * a[i];
       return;
-    case Activation::kRelu:
-      for (size_t i = 0; i < a.size(); ++i) d[i] = a[i] > 0.0 ? 1.0 : 0.0;
+    case Activation::kRelu: {
+      // Branch-free: ReLU outputs are positive or zero at random, so a
+      // branch per entry mispredicts about half the time.
+      size_t i = 0;
+#if defined(__SSE2__)
+      const __m128d zero = _mm_setzero_pd();
+      const __m128d one = _mm_set1_pd(1.0);
+      for (; i + 2 <= n; i += 2) {
+        __m128d d = _mm_and_pd(_mm_cmpgt_pd(_mm_loadu_pd(a + i), zero), one);
+        _mm_storeu_pd(v + i, _mm_mul_pd(_mm_loadu_pd(v + i), d));
+      }
+#endif
+      for (; i < n; ++i) v[i] *= a[i] > 0.0 ? 1.0 : 0.0;
       return;
+    }
   }
 }
 
-void SoftmaxRows(Matrix* logits) {
-  BHPO_CHECK(logits != nullptr);
-  for (size_t r = 0; r < logits->rows(); ++r) {
-    double* p = logits->Row(r);
+void SoftmaxRows(MatrixView logits) {
+  for (size_t r = 0; r < logits.rows; ++r) {
+    double* p = logits.Row(r);
     double row_max = p[0];
-    for (size_t c = 1; c < logits->cols(); ++c) {
+    for (size_t c = 1; c < logits.cols; ++c) {
       row_max = std::max(row_max, p[c]);
     }
     double total = 0.0;
-    for (size_t c = 0; c < logits->cols(); ++c) {
+    for (size_t c = 0; c < logits.cols; ++c) {
       p[c] = std::exp(p[c] - row_max);
       total += p[c];
     }
-    for (size_t c = 0; c < logits->cols(); ++c) p[c] /= total;
+    for (size_t c = 0; c < logits.cols; ++c) p[c] /= total;
   }
 }
 

@@ -17,16 +17,18 @@ Result<Activation> ActivationFromString(const std::string& name);
 const char* ActivationToString(Activation activation);
 
 // Applies the activation elementwise in place.
-void ApplyActivation(Activation activation, Matrix* values);
+void ApplyActivation(Activation activation, MatrixView values);
 
-// Given already-activated values a = act(z), writes act'(z) into
-// `derivative` (same shape). All supported activations admit this form:
-// logistic: a(1-a); tanh: 1-a^2; relu: 1[a > 0]; identity: 1.
-void ActivationDerivativeFromOutput(Activation activation, const Matrix& activated,
-                                    Matrix* derivative);
+// Given already-activated values a = act(z), multiplies each entry of
+// `values` (same shape) by act'(z) in place. All supported activations
+// admit this form: logistic: a(1-a); tanh: 1-a^2; relu: 1[a > 0];
+// identity: 1.
+void MultiplyByActivationDerivative(Activation activation,
+                                    ConstMatrixView activated,
+                                    MatrixView values);
 
 // Row-wise softmax in place (numerically stabilized by the row max).
-void SoftmaxRows(Matrix* logits);
+void SoftmaxRows(MatrixView logits);
 
 }  // namespace bhpo
 

@@ -109,7 +109,7 @@ Status GbdtModel::Fit(const DatasetView& train) {
     if (train.is_classification()) {
       // Softmax probabilities of the current scores.
       Matrix proba = scores;
-      SoftmaxRows(&proba);
+      SoftmaxRows(proba);
       for (size_t k = 0; k < outputs; ++k) {
         for (size_t i = 0; i < n; ++i) {
           double y = train.label(i) == static_cast<int>(k) ? 1.0 : 0.0;
@@ -145,7 +145,7 @@ Status GbdtModel::Fit(const DatasetView& train) {
   // Final training loss for diagnostics.
   if (train.is_classification()) {
     Matrix proba = scores;
-    SoftmaxRows(&proba);
+    SoftmaxRows(proba);
     final_loss_ = CrossEntropyLoss(proba, train.GatherLabels());
   } else {
     final_loss_ = HalfMseLoss(scores, train.GatherTargets());
@@ -175,7 +175,7 @@ Matrix GbdtModel::PredictProba(const Matrix& features) const {
   BHPO_CHECK(fitted_) << "PredictProba before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
   Matrix proba = RawScores(features);
-  SoftmaxRows(&proba);
+  SoftmaxRows(proba);
   return proba;
 }
 
@@ -222,7 +222,7 @@ Matrix GbdtModel::PredictProba(const DatasetView& view) const {
   BHPO_CHECK(fitted_) << "PredictProba before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
   Matrix proba = RawScores(view);
-  SoftmaxRows(&proba);
+  SoftmaxRows(proba);
   return proba;
 }
 

@@ -11,55 +11,60 @@ namespace {
 constexpr double kProbClip = 1e-10;
 }  // namespace
 
-double CrossEntropyLoss(const Matrix& probabilities,
+double CrossEntropyLoss(ConstMatrixView probabilities,
                         const std::vector<int>& labels) {
-  BHPO_CHECK_EQ(probabilities.rows(), labels.size());
+  BHPO_CHECK_EQ(probabilities.rows, labels.size());
   if (labels.empty()) return 0.0;
   double total = 0.0;
   for (size_t i = 0; i < labels.size(); ++i) {
     BHPO_CHECK(labels[i] >= 0 &&
-               labels[i] < static_cast<int>(probabilities.cols()));
-    double p = std::clamp(probabilities(i, labels[i]), kProbClip,
+               labels[i] < static_cast<int>(probabilities.cols));
+    double p = std::clamp(probabilities.Row(i)[labels[i]], kProbClip,
                           1.0 - kProbClip);
     total -= std::log(p);
   }
   return total / static_cast<double>(labels.size());
 }
 
-double HalfMseLoss(const Matrix& predictions,
+double HalfMseLoss(ConstMatrixView predictions,
                    const std::vector<double>& targets) {
-  BHPO_CHECK_EQ(predictions.rows(), targets.size());
-  BHPO_CHECK_EQ(predictions.cols(), 1u);
+  BHPO_CHECK_EQ(predictions.rows, targets.size());
+  BHPO_CHECK_EQ(predictions.cols, 1u);
   if (targets.empty()) return 0.0;
   double total = 0.0;
   for (size_t i = 0; i < targets.size(); ++i) {
-    double d = predictions(i, 0) - targets[i];
+    double d = predictions.data[i] - targets[i];
     total += d * d;
   }
   return 0.5 * total / static_cast<double>(targets.size());
 }
 
-void OutputDeltaClassification(const Matrix& probabilities,
-                               const std::vector<int>& labels, Matrix* delta) {
-  BHPO_CHECK(delta != nullptr);
-  BHPO_CHECK_EQ(probabilities.rows(), labels.size());
-  *delta = probabilities;
+void OutputDeltaClassification(ConstMatrixView probabilities,
+                               const std::vector<int>& labels,
+                               MatrixView delta) {
+  BHPO_CHECK_EQ(probabilities.rows, labels.size());
+  BHPO_CHECK(delta.rows == probabilities.rows &&
+             delta.cols == probabilities.cols);
   double inv_n = 1.0 / static_cast<double>(labels.size());
   for (size_t i = 0; i < labels.size(); ++i) {
-    (*delta)(i, labels[i]) -= 1.0;
+    const double* p = probabilities.Row(i);
+    double* d = delta.Row(i);
+    BHPO_CHECK(labels[i] >= 0 && labels[i] < static_cast<int>(delta.cols));
+    std::copy(p, p + delta.cols, d);
+    d[labels[i]] -= 1.0;
+    for (size_t c = 0; c < delta.cols; ++c) d[c] *= inv_n;
   }
-  delta->Scale(inv_n);
 }
 
-void OutputDeltaRegression(const Matrix& predictions,
-                           const std::vector<double>& targets, Matrix* delta) {
-  BHPO_CHECK(delta != nullptr);
-  BHPO_CHECK_EQ(predictions.rows(), targets.size());
-  BHPO_CHECK_EQ(predictions.cols(), 1u);
-  *delta = predictions;
+void OutputDeltaRegression(ConstMatrixView predictions,
+                           const std::vector<double>& targets,
+                           MatrixView delta) {
+  BHPO_CHECK_EQ(predictions.rows, targets.size());
+  BHPO_CHECK_EQ(predictions.cols, 1u);
+  BHPO_CHECK(delta.rows == predictions.rows && delta.cols == 1u);
   double inv_n = 1.0 / static_cast<double>(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
-    (*delta)(i, 0) = ((*delta)(i, 0) - targets[i]) * inv_n;
+    delta.data[i] = (predictions.data[i] - targets[i]) * inv_n;
   }
 }
 

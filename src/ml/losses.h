@@ -9,22 +9,24 @@ namespace bhpo {
 
 // Mean cross-entropy of row-wise class probabilities against integer
 // labels, clipped away from log(0) as scikit-learn does.
-double CrossEntropyLoss(const Matrix& probabilities,
+double CrossEntropyLoss(ConstMatrixView probabilities,
                         const std::vector<int>& labels);
 
 // 0.5 * mean squared error of predictions (n x 1) against targets; the 0.5
 // factor matches the gradient convention used by the MLP backward pass.
-double HalfMseLoss(const Matrix& predictions,
+double HalfMseLoss(ConstMatrixView predictions,
                    const std::vector<double>& targets);
 
 // Output-layer error for both heads. For softmax + cross-entropy and for
 // identity + half-MSE the gradient wrt the pre-activation is identical:
 // (output - onehot(target)) / n  resp. (output - target) / n. Writes it
-// into `delta` (same shape as outputs).
-void OutputDeltaClassification(const Matrix& probabilities,
-                               const std::vector<int>& labels, Matrix* delta);
-void OutputDeltaRegression(const Matrix& predictions,
-                           const std::vector<double>& targets, Matrix* delta);
+// into `delta`, which must already have the outputs' shape.
+void OutputDeltaClassification(ConstMatrixView probabilities,
+                               const std::vector<int>& labels,
+                               MatrixView delta);
+void OutputDeltaRegression(ConstMatrixView predictions,
+                           const std::vector<double>& targets,
+                           MatrixView delta);
 
 }  // namespace bhpo
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/gather.h"
 #include "common/rng.h"
 #include "data/split.h"
 #include "ml/adam.h"
@@ -57,6 +58,56 @@ Status MlpConfig::Validate() const {
   return Status::OK();
 }
 
+// Per-fit scratch: everything Forward and the backward pass write, sized
+// once for at most `rows` input rows, so a fit allocates nothing per step.
+// Views into it take the current row count.
+struct MlpModel::Workspace {
+  Workspace(const std::vector<Layer>& layers, size_t rows, bool training)
+      : rows(rows) {
+    size_t widest = 0;
+    size_t largest_weight = 0;
+    for (const Layer& layer : layers) {
+      activations.emplace_back(rows * layer.fan_out);
+      widest = std::max(widest, layer.fan_out);
+      largest_weight = std::max(largest_weight, layer.fan_in * layer.fan_out);
+    }
+    if (!training) return;
+    delta.resize(rows * widest);
+    back.resize(rows * widest);
+    transposed_weight.resize(largest_weight);
+  }
+
+  MatrixView Output(size_t l, size_t n, size_t cols) {
+    return {activations[l].data(), n, cols};
+  }
+
+  size_t rows;
+  std::vector<std::vector<double>> activations;  // [l]: layer l's output
+  std::vector<double> delta;
+  std::vector<double> back;
+  std::vector<double> transposed_weight;
+  // Minibatch gather buffers, sized by the sgd/adam fit.
+  std::vector<double> batch_x;
+  std::vector<size_t> batch_rows;
+  std::vector<int> batch_labels;
+  std::vector<double> batch_targets;
+};
+
+void MlpModel::AllocateLayers(const std::vector<size_t>& sizes) {
+  BHPO_CHECK_GE(sizes.size(), 2u);
+  layers_.clear();
+  size_t offset = 0;
+  for (size_t l = 0; l + 1 < sizes.size(); ++l) {
+    layers_.push_back({sizes[l], sizes[l + 1], offset, 0});
+    offset += sizes[l] * sizes[l + 1];
+  }
+  for (Layer& layer : layers_) {
+    layer.bias_offset = offset;
+    offset += layer.fan_out;
+  }
+  params_.assign(offset, 0.0);
+}
+
 void MlpModel::InitializeParameters(size_t num_features, size_t num_outputs,
                                     uint64_t seed) {
   BHPO_CHECK_GT(num_features, 0u);
@@ -67,110 +118,131 @@ void MlpModel::InitializeParameters(size_t num_features, size_t num_outputs,
   sizes.push_back(num_features);
   for (size_t h : config_.hidden_layer_sizes) sizes.push_back(h);
   sizes.push_back(num_outputs);
+  AllocateLayers(sizes);
 
   // Glorot uniform; scikit-learn uses factor 2 for logistic, 6 otherwise.
+  // Draw order: layer by layer, its weights (row-major) then its bias.
   double factor = config_.activation == Activation::kLogistic ? 2.0 : 6.0;
   Rng rng(seed);
-  weights_.clear();
-  biases_.clear();
-  for (size_t l = 0; l + 1 < sizes.size(); ++l) {
-    double limit =
-        std::sqrt(factor / static_cast<double>(sizes[l] + sizes[l + 1]));
-    weights_.push_back(
-        Matrix::RandomUniform(sizes[l], sizes[l + 1], &rng, limit));
-    biases_.push_back(Matrix::RandomUniform(1, sizes[l + 1], &rng, limit));
+  for (const Layer& layer : layers_) {
+    double limit = std::sqrt(
+        factor / static_cast<double>(layer.fan_in + layer.fan_out));
+    double* w = params_.data() + layer.weight_offset;
+    for (size_t i = 0; i < layer.fan_in * layer.fan_out; ++i) {
+      w[i] = rng.Uniform(-limit, limit);
+    }
+    double* b = params_.data() + layer.bias_offset;
+    for (size_t i = 0; i < layer.fan_out; ++i) {
+      b[i] = rng.Uniform(-limit, limit);
+    }
   }
 }
 
-void MlpModel::Forward(const Matrix& input,
-                       std::vector<Matrix>* layer_outputs) const {
-  BHPO_CHECK(layer_outputs != nullptr);
-  BHPO_CHECK(!weights_.empty()) << "Forward before InitializeParameters";
-  layer_outputs->clear();
-  layer_outputs->reserve(weights_.size() + 1);
-  layer_outputs->push_back(input);
-  for (size_t l = 0; l < weights_.size(); ++l) {
-    Matrix z = layer_outputs->back().MatMul(weights_[l]);
-    z.AddRowBroadcast(biases_[l]);
-    if (l + 1 < weights_.size()) {
-      ApplyActivation(config_.activation, &z);
+void MlpModel::Forward(const double* params, ConstMatrixView input,
+                       Workspace* ws) const {
+  BHPO_CHECK(!layers_.empty()) << "Forward before InitializeParameters";
+  BHPO_CHECK_EQ(input.cols, layers_.front().fan_in);
+  BHPO_CHECK_LE(input.rows, ws->rows);
+  ConstMatrixView prev = input;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    MatrixView z = ws->Output(l, input.rows, layers_[l].fan_out);
+    MatMulInto(prev, WeightView(params, l), z);
+    const double* b = BiasView(params, l).data;
+    for (size_t r = 0; r < z.rows; ++r) {
+      double* p = z.Row(r);
+      for (size_t c = 0; c < z.cols; ++c) p[c] += b[c];
+    }
+    if (l + 1 < layers_.size()) {
+      ApplyActivation(config_.activation, z);
     } else if (task_ == Task::kClassification) {
-      SoftmaxRows(&z);
+      SoftmaxRows(z);
     }  // Regression head is identity.
-    layer_outputs->push_back(std::move(z));
+    prev = z;
   }
 }
 
-double MlpModel::LossAndGradients(const Matrix& x,
+double MlpModel::LossAndGradients(const double* params, ConstMatrixView x,
                                   const std::vector<int>* labels,
                                   const std::vector<double>* targets,
-                                  std::vector<Matrix>* weight_grads,
-                                  std::vector<Matrix>* bias_grads) const {
-  BHPO_CHECK(weight_grads != nullptr && bias_grads != nullptr);
-  BHPO_CHECK_GT(x.rows(), 0u);
+                                  double* grad, Workspace* ws) const {
+  BHPO_CHECK(grad != nullptr && ws != nullptr);
+  BHPO_CHECK_GT(x.rows, 0u);
+  size_t n = x.rows;
+  size_t last = layers_.size() - 1;
 
-  std::vector<Matrix> outs;
-  Forward(x, &outs);
-  const Matrix& output = outs.back();
+  Forward(params, x, ws);
+  ConstMatrixView output = ws->Output(last, n, layers_[last].fan_out);
 
-  double inv_n = 1.0 / static_cast<double>(x.rows());
+  double inv_n = 1.0 / static_cast<double>(n);
   double loss;
-  Matrix delta;
+  // The delta of the layer being back-propagated, and the buffer the next
+  // one is built in; they swap every layer.
+  double* delta = ws->delta.data();
+  double* back = ws->back.data();
+  MatrixView output_delta(delta, n, output.cols);
   if (task_ == Task::kClassification) {
     BHPO_CHECK(labels != nullptr);
     loss = CrossEntropyLoss(output, *labels);
-    OutputDeltaClassification(output, *labels, &delta);
+    OutputDeltaClassification(output, *labels, output_delta);
   } else {
     BHPO_CHECK(targets != nullptr);
     loss = HalfMseLoss(output, *targets);
-    OutputDeltaRegression(output, *targets, &delta);
+    OutputDeltaRegression(output, *targets, output_delta);
   }
-  // L2 penalty (weights only, like scikit-learn).
+  // L2 penalty (weights only, like scikit-learn), summed layer by layer.
   double l2 = 0.0;
-  for (const Matrix& w : weights_) l2 += w.SumSquares();
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    ConstMatrixView w = WeightView(params, l);
+    double layer_sum = 0.0;
+    for (size_t i = 0; i < w.size(); ++i) layer_sum += w.data[i] * w.data[i];
+    l2 += layer_sum;
+  }
   loss += 0.5 * config_.alpha * l2 * inv_n;
 
-  weight_grads->assign(weights_.size(), Matrix());
-  bias_grads->assign(biases_.size(), Matrix());
-  for (size_t l = weights_.size(); l-- > 0;) {
-    (*weight_grads)[l] = outs[l].TransposeMatMul(delta);
-    (*weight_grads)[l].AddScaled(weights_[l], config_.alpha * inv_n);
-    (*bias_grads)[l] = delta.ColSums();
+  double decay = config_.alpha * inv_n;
+  for (size_t l = layers_.size(); l-- > 0;) {
+    const Layer& layer = layers_[l];
+    ConstMatrixView d(delta, n, layer.fan_out);
+    ConstMatrixView in =
+        l == 0 ? x : ConstMatrixView(ws->Output(l - 1, n, layer.fan_in));
+    ConstMatrixView w = WeightView(params, l);
+
+    MatrixView weight_grad(grad + layer.weight_offset, layer.fan_in,
+                           layer.fan_out);
+    TransposeMatMulInto(in, d, weight_grad);
+    for (size_t i = 0; i < w.size(); ++i) {
+      weight_grad.data[i] += decay * w.data[i];
+    }
+    double* bias_grad = grad + layer.bias_offset;
+    std::fill(bias_grad, bias_grad + layer.fan_out, 0.0);
+    for (size_t r = 0; r < n; ++r) {
+      const double* row = d.Row(r);
+      for (size_t c = 0; c < layer.fan_out; ++c) bias_grad[c] += row[c];
+    }
     if (l > 0) {
-      Matrix back = delta.MatMulTranspose(weights_[l]);
-      Matrix deriv;
-      ActivationDerivativeFromOutput(config_.activation, outs[l], &deriv);
-      back.MulElem(deriv);
-      delta = std::move(back);
+      MatrixView next(back, n, layer.fan_in);
+      MatMulTransposeInto(d, w,
+                          MatrixView(ws->transposed_weight.data(),
+                                     layer.fan_out, layer.fan_in),
+                          next);
+      MultiplyByActivationDerivative(config_.activation, in, next);
+      std::swap(delta, back);
     }
   }
   return loss;
 }
 
-double MlpModel::ComputeLossAndGradients(
-    const Dataset& data, std::vector<Matrix>* weight_grads,
-    std::vector<Matrix>* bias_grads) const {
+double MlpModel::ComputeLossAndGradients(const Dataset& data,
+                                         std::vector<double>* grad) const {
+  BHPO_CHECK(grad != nullptr);
+  Workspace ws(layers_, data.n(), /*training=*/true);
+  grad->assign(params_.size(), 0.0);
   if (task_ == Task::kClassification) {
-    return LossAndGradients(data.features(), &data.labels(), nullptr,
-                            weight_grads, bias_grads);
+    return LossAndGradients(params_.data(), data.features(), &data.labels(),
+                            nullptr, grad->data(), &ws);
   }
-  return LossAndGradients(data.features(), nullptr, &data.targets(),
-                          weight_grads, bias_grads);
-}
-
-double MlpModel::ComputeLossAndGradients(
-    const DatasetView& data, std::vector<Matrix>* weight_grads,
-    std::vector<Matrix>* bias_grads) const {
-  if (data.is_full()) {
-    return ComputeLossAndGradients(data.parent(), weight_grads, bias_grads);
-  }
-  Matrix x = data.GatherFeatures();
-  if (task_ == Task::kClassification) {
-    std::vector<int> labels = data.GatherLabels();
-    return LossAndGradients(x, &labels, nullptr, weight_grads, bias_grads);
-  }
-  std::vector<double> targets = data.GatherTargets();
-  return LossAndGradients(x, nullptr, &targets, weight_grads, bias_grads);
+  return LossAndGradients(params_.data(), data.features(), nullptr,
+                          &data.targets(), grad->data(), &ws);
 }
 
 Status MlpModel::Fit(const DatasetView& train) {
@@ -218,10 +290,8 @@ Status MlpModel::FitSgdFamily(const DatasetView& train) {
 
   LearningRate lr(config_.learning_rate, config_.learning_rate_init,
                   config_.power_t);
-  SgdUpdater weight_sgd(config_.momentum, config_.nesterovs_momentum);
-  SgdUpdater bias_sgd(config_.momentum, config_.nesterovs_momentum);
-  AdamUpdater weight_adam;
-  AdamUpdater bias_adam;
+  SgdUpdater sgd(config_.momentum, config_.nesterovs_momentum);
+  AdamUpdater adam;
 
   Rng shuffle_rng(config_.seed + 2);
   std::vector<size_t> order(fit_view.n());
@@ -230,27 +300,51 @@ Status MlpModel::FitSgdFamily(const DatasetView& train) {
   double best_val_score = -1e300;
   double best_train_loss = 1e300;
   int stall = 0;
-  std::vector<Matrix> best_weights, best_biases;
-  std::vector<Matrix> weight_grads, bias_grads;
+  std::vector<double> best_params;
+
+  const Dataset& parent = fit_view.parent();
+  const size_t d = parent.num_features();
+  const double* features = parent.features().data().data();
+  const bool classification = task_ == Task::kClassification;
+  Workspace ws(layers_, batch, /*training=*/true);
+  ws.batch_x.resize(batch * d);
+  ws.batch_rows.resize(batch);
+  std::vector<double> grad(params_.size());
 
   for (int epoch = 0; epoch < config_.max_iter; ++epoch) {
     shuffle_rng.Shuffle(&order);
     double loss_sum = 0.0;
     for (size_t start = 0; start < order.size(); start += batch) {
-      size_t end = std::min(start + batch, order.size());
-      std::vector<size_t> batch_idx(order.begin() + start,
-                                    order.begin() + end);
-      double batch_loss = ComputeLossAndGradients(
-          fit_view.ViewOf(batch_idx), &weight_grads, &bias_grads);
-      loss_sum += batch_loss * static_cast<double>(batch_idx.size());
+      size_t rows = std::min(start + batch, order.size()) - start;
+      for (size_t i = 0; i < rows; ++i) {
+        ws.batch_rows[i] = fit_view.parent_index(order[start + i]);
+      }
+      GatherRows(features, d, d, ws.batch_rows.data(), rows,
+                 ws.batch_x.data());
+      ConstMatrixView x(ws.batch_x.data(), rows, d);
+      double batch_loss;
+      if (classification) {
+        ws.batch_labels.resize(rows);
+        for (size_t i = 0; i < rows; ++i) {
+          ws.batch_labels[i] = parent.label(ws.batch_rows[i]);
+        }
+        batch_loss = LossAndGradients(params_.data(), x, &ws.batch_labels,
+                                      nullptr, grad.data(), &ws);
+      } else {
+        ws.batch_targets.resize(rows);
+        for (size_t i = 0; i < rows; ++i) {
+          ws.batch_targets[i] = parent.target(ws.batch_rows[i]);
+        }
+        batch_loss = LossAndGradients(params_.data(), x, nullptr,
+                                      &ws.batch_targets, grad.data(), &ws);
+      }
+      loss_sum += batch_loss * static_cast<double>(rows);
 
       double step = lr.NextUpdateRate();
       if (config_.solver == Solver::kSgd) {
-        weight_sgd.Step(&weights_, weight_grads, step);
-        bias_sgd.Step(&biases_, bias_grads, step);
+        sgd.Step(params_, grad, step);
       } else {
-        weight_adam.Step(&weights_, weight_grads, step);
-        bias_adam.Step(&biases_, bias_grads, step);
+        adam.Step(params_, grad, step);
       }
     }
     double epoch_loss = loss_sum / static_cast<double>(fit_view.n());
@@ -266,8 +360,7 @@ Status MlpModel::FitSgdFamily(const DatasetView& train) {
       double score = EvaluateModel(*this, val_set);
       if (score > best_val_score + config_.tol) {
         best_val_score = score;
-        best_weights = weights_;
-        best_biases = biases_;
+        best_params = params_;
         stall = 0;
       } else {
         if (++stall >= config_.n_iter_no_change) break;
@@ -282,44 +375,10 @@ Status MlpModel::FitSgdFamily(const DatasetView& train) {
     }
   }
 
-  if (use_validation && !best_weights.empty()) {
-    weights_ = std::move(best_weights);
-    biases_ = std::move(best_biases);
+  if (use_validation && !best_params.empty()) {
+    params_ = std::move(best_params);
   }
   return Status::OK();
-}
-
-size_t MlpModel::ParameterCount() const {
-  size_t count = 0;
-  for (const Matrix& w : weights_) count += w.size();
-  for (const Matrix& b : biases_) count += b.size();
-  return count;
-}
-
-void MlpModel::PackParameters(std::vector<double>* flat) const {
-  flat->clear();
-  flat->reserve(ParameterCount());
-  for (const Matrix& w : weights_) {
-    flat->insert(flat->end(), w.data().begin(), w.data().end());
-  }
-  for (const Matrix& b : biases_) {
-    flat->insert(flat->end(), b.data().begin(), b.data().end());
-  }
-}
-
-void MlpModel::UnpackParameters(const std::vector<double>& flat) {
-  BHPO_CHECK_EQ(flat.size(), ParameterCount());
-  size_t pos = 0;
-  for (Matrix& w : weights_) {
-    std::copy(flat.begin() + pos, flat.begin() + pos + w.size(),
-              w.data().begin());
-    pos += w.size();
-  }
-  for (Matrix& b : biases_) {
-    std::copy(flat.begin() + pos, flat.begin() + pos + b.size(),
-              b.data().begin());
-    pos += b.size();
-  }
 }
 
 Status MlpModel::FitLbfgs(const DatasetView& train) {
@@ -333,31 +392,25 @@ Status MlpModel::FitLbfgs(const DatasetView& train) {
 }
 
 Status MlpModel::FitLbfgs(const Dataset& train) {
-  std::vector<double> x;
-  PackParameters(&x);
-
-  std::vector<Matrix> weight_grads, bias_grads;
+  Workspace ws(layers_, train.n(), /*training=*/true);
+  const std::vector<int>* labels =
+      task_ == Task::kClassification ? &train.labels() : nullptr;
+  const std::vector<double>* targets =
+      task_ == Task::kClassification ? nullptr : &train.targets();
+  // The minimizer evaluates trial points in its own buffers; the loss reads
+  // the parameters straight from whichever vector it is handed and writes
+  // the gradient straight into the minimizer's, so nothing is copied.
   ObjectiveFn objective = [&](const std::vector<double>& params,
                               std::vector<double>* grad) {
-    UnpackParameters(params);
-    double loss = ComputeLossAndGradients(train, &weight_grads, &bias_grads);
-    grad->clear();
-    grad->reserve(params.size());
-    for (const Matrix& g : weight_grads) {
-      grad->insert(grad->end(), g.data().begin(), g.data().end());
-    }
-    for (const Matrix& g : bias_grads) {
-      grad->insert(grad->end(), g.data().begin(), g.data().end());
-    }
-    return loss;
+    return LossAndGradients(params.data(), train.features(), labels, targets,
+                            grad->data(), &ws);
   };
 
   LbfgsOptions options;
   options.max_iterations = config_.max_iter;
   options.function_tolerance = config_.tol * 1e-3;
   BHPO_ASSIGN_OR_RETURN(LbfgsSummary summary,
-                        MinimizeLbfgs(objective, &x, options));
-  UnpackParameters(x);
+                        MinimizeLbfgs(objective, &params_, options));
   final_loss_ = summary.final_objective;
   iterations_run_ = summary.iterations;
   if (!std::isfinite(final_loss_)) {
@@ -366,10 +419,19 @@ Status MlpModel::FitLbfgs(const Dataset& train) {
   return Status::OK();
 }
 
+Matrix MlpModel::Predict(const Matrix& features) const {
+  Workspace ws(layers_, features.rows(), /*training=*/false);
+  Forward(params_.data(), features, &ws);
+  Matrix out(features.rows(), num_outputs_);
+  std::copy(ws.activations.back().begin(), ws.activations.back().end(),
+            out.data().begin());
+  return out;
+}
+
 std::vector<int> MlpModel::PredictLabels(const Matrix& features) const {
   BHPO_CHECK(fitted_) << "PredictLabels before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
-  Matrix proba = PredictProba(features);
+  Matrix proba = Predict(features);
   std::vector<int> labels(proba.rows());
   for (size_t r = 0; r < proba.rows(); ++r) {
     const double* p = proba.Row(r);
@@ -382,20 +444,14 @@ std::vector<int> MlpModel::PredictLabels(const Matrix& features) const {
 Matrix MlpModel::PredictProba(const Matrix& features) const {
   BHPO_CHECK(fitted_) << "PredictProba before Fit";
   BHPO_CHECK(task_ == Task::kClassification);
-  std::vector<Matrix> outs;
-  Forward(features, &outs);
-  return std::move(outs.back());
+  return Predict(features);
 }
 
 std::vector<double> MlpModel::PredictValues(const Matrix& features) const {
   BHPO_CHECK(fitted_) << "PredictValues before Fit";
   BHPO_CHECK(task_ == Task::kRegression);
-  std::vector<Matrix> outs;
-  Forward(features, &outs);
-  const Matrix& out = outs.back();
-  std::vector<double> values(out.rows());
-  for (size_t r = 0; r < out.rows(); ++r) values[r] = out(r, 0);
-  return values;
+  Matrix out = Predict(features);
+  return std::move(out.data());
 }
 
 }  // namespace bhpo

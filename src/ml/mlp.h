@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,20 +80,27 @@ class MlpModel : public Model {
   // Classification only: row-wise class probabilities.
   Matrix PredictProba(const Matrix& features) const;
 
-  // Regularized loss + gradients over `data` at the current parameters
-  // (the L2 term is scaled by 1/data.n(), scikit-learn's per-batch
-  // convention). Exposed for the finite-difference gradient tests.
+  // Regularized loss over `data` at the current parameters, with its
+  // gradient written to *grad in the parameter arena's layout (the L2 term
+  // is scaled by 1/data.n(), scikit-learn's per-batch convention). Exposed
+  // for the finite-difference gradient tests.
   double ComputeLossAndGradients(const Dataset& data,
-                                 std::vector<Matrix>* weight_grads,
-                                 std::vector<Matrix>* bias_grads) const;
-  double ComputeLossAndGradients(const DatasetView& data,
-                                 std::vector<Matrix>* weight_grads,
-                                 std::vector<Matrix>* bias_grads) const;
+                                 std::vector<double>* grad) const;
 
-  const std::vector<Matrix>& weights() const { return weights_; }
-  const std::vector<Matrix>& biases() const { return biases_; }
-  std::vector<Matrix>* mutable_weights() { return &weights_; }
-  std::vector<Matrix>* mutable_biases() { return &biases_; }
+  // The parameter arena: every layer's weights (fan_in x fan_out, row-major)
+  // in layer order, then every layer's bias (1 x fan_out). The optimizers
+  // step this one vector; the views below index into it.
+  const std::vector<double>& parameters() const { return params_; }
+  // Entries may be changed in place; the arena's size is fixed by the
+  // layer layout.
+  std::span<double> mutable_parameters() { return params_; }
+  size_t num_layers() const { return layers_.size(); }
+  ConstMatrixView weights(size_t l) const {
+    return WeightView(params_.data(), l);
+  }
+  ConstMatrixView bias(size_t l) const {
+    return BiasView(params_.data(), l);
+  }
 
   // Initializes parameters for the given feature/output sizes without
   // training (used by tests and by Fit itself).
@@ -103,30 +111,57 @@ class MlpModel : public Model {
   friend Status SaveMlp(const MlpModel& model, std::ostream& out);
   friend Result<std::unique_ptr<MlpModel>> LoadMlp(std::istream& in);
 
-  // Runs the network on `input`, returning layer outputs; out->back() holds
-  // probabilities (classification) or predictions (regression).
-  void Forward(const Matrix& input, std::vector<Matrix>* layer_outputs) const;
+  // Where layer l lives in the parameter arena.
+  struct Layer {
+    size_t fan_in;
+    size_t fan_out;
+    size_t weight_offset;
+    size_t bias_offset;
+  };
+  // Per-fit scratch (activations, deltas, transposed weights, minibatch
+  // buffers); defined in mlp.cc.
+  struct Workspace;
 
-  // Shared loss/gradient core; exactly one of labels/targets is non-null,
-  // matching the task the model was initialized for.
-  double LossAndGradients(const Matrix& x, const std::vector<int>* labels,
-                          const std::vector<double>* targets,
-                          std::vector<Matrix>* weight_grads,
-                          std::vector<Matrix>* bias_grads) const;
+  // Lays out the arena for layer widths sizes[0] (features) .. sizes.back()
+  // (outputs); parameter values are left zero.
+  void AllocateLayers(const std::vector<size_t>& sizes);
+  ConstMatrixView WeightView(const double* base, size_t l) const {
+    BHPO_CHECK_LT(l, layers_.size());
+    const Layer& layer = layers_[l];
+    return {base + layer.weight_offset, layer.fan_in, layer.fan_out};
+  }
+  ConstMatrixView BiasView(const double* base, size_t l) const {
+    BHPO_CHECK_LT(l, layers_.size());
+    const Layer& layer = layers_[l];
+    return {base + layer.bias_offset, 1, layer.fan_out};
+  }
+
+  // Runs the network with parameters `params` (arena layout) on `input`,
+  // read in place; ws->activations[l] receives layer l's output, the last
+  // one probabilities (classification) or predictions (regression).
+  void Forward(const double* params, ConstMatrixView input,
+               Workspace* ws) const;
+
+  // Shared loss/gradient core at parameters `params`; exactly one of
+  // labels/targets is non-null, matching the task the model was initialized
+  // for. Writes the gradient (arena layout) to `grad`.
+  double LossAndGradients(const double* params, ConstMatrixView x,
+                          const std::vector<int>* labels,
+                          const std::vector<double>* targets, double* grad,
+                          Workspace* ws) const;
+
+  // Forward pass at the current parameters; returns the output layer.
+  Matrix Predict(const Matrix& features) const;
 
   Status FitSgdFamily(const DatasetView& train);
   Status FitLbfgs(const DatasetView& train);
   Status FitLbfgs(const Dataset& train);
 
-  size_t ParameterCount() const;
-  void PackParameters(std::vector<double>* flat) const;
-  void UnpackParameters(const std::vector<double>& flat);
-
   MlpConfig config_;
   Task task_ = Task::kClassification;
   size_t num_outputs_ = 0;
-  std::vector<Matrix> weights_;  // layer l: (fan_in x fan_out)
-  std::vector<Matrix> biases_;   // layer l: (1 x fan_out)
+  std::vector<Layer> layers_;
+  std::vector<double> params_;
   bool fitted_ = false;
   double final_loss_ = 0.0;
   int iterations_run_ = 0;

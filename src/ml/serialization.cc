@@ -1,5 +1,6 @@
 #include "ml/serialization.h"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -44,11 +45,11 @@ Status ReadValue(std::istream& in, const char* what, T* out) {
   return Status::OK();
 }
 
-Status WriteMatrix(std::ostream& out, const Matrix& m) {
-  out << m.rows() << " " << m.cols() << "\n";
-  for (size_t r = 0; r < m.rows(); ++r) {
+Status WriteMatrix(std::ostream& out, ConstMatrixView m) {
+  out << m.rows << " " << m.cols << "\n";
+  for (size_t r = 0; r < m.rows; ++r) {
     const double* p = m.Row(r);
-    for (size_t c = 0; c < m.cols(); ++c) {
+    for (size_t c = 0; c < m.cols; ++c) {
       if (c > 0) out << " ";
       out << p[c];
     }
@@ -103,10 +104,10 @@ Status SaveMlp(const MlpModel& model, std::ostream& out) {
       << c.tol << " " << c.momentum << " " << (c.nesterovs_momentum ? 1 : 0)
       << " " << (c.early_stopping ? 1 : 0) << " " << c.validation_fraction
       << " " << c.n_iter_no_change << " " << c.seed << "\n";
-  out << "layers " << model.weights_.size() << "\n";
-  for (size_t l = 0; l < model.weights_.size(); ++l) {
-    BHPO_RETURN_NOT_OK(WriteMatrix(out, model.weights_[l]));
-    BHPO_RETURN_NOT_OK(WriteMatrix(out, model.biases_[l]));
+  out << "layers " << model.num_layers() << "\n";
+  for (size_t l = 0; l < model.num_layers(); ++l) {
+    BHPO_RETURN_NOT_OK(WriteMatrix(out, model.weights(l)));
+    BHPO_RETURN_NOT_OK(WriteMatrix(out, model.bias(l)));
   }
   return out ? Status::OK() : Status::IoError("mlp write failure");
 }
@@ -166,9 +167,7 @@ Result<std::unique_ptr<MlpModel>> LoadMlp(std::istream& in) {
     return Status::InvalidArgument("implausible layer count");
   }
 
-  auto model = std::make_unique<MlpModel>(config);
-  model->task_ = task;
-  model->num_outputs_ = num_outputs;
+  std::vector<Matrix> weights, biases;
   for (size_t l = 0; l < layers; ++l) {
     BHPO_ASSIGN_OR_RETURN(Matrix w, ReadMatrix(in));
     BHPO_ASSIGN_OR_RETURN(Matrix b, ReadMatrix(in));
@@ -176,15 +175,29 @@ Result<std::unique_ptr<MlpModel>> LoadMlp(std::istream& in) {
       return Status::InvalidArgument("bias shape mismatch at layer " +
                                      std::to_string(l));
     }
-    if (l > 0 && model->weights_.back().cols() != w.rows()) {
+    if (l > 0 && weights.back().cols() != w.rows()) {
       return Status::InvalidArgument("weight shape mismatch at layer " +
                                      std::to_string(l));
     }
-    model->weights_.push_back(std::move(w));
-    model->biases_.push_back(std::move(b));
+    weights.push_back(std::move(w));
+    biases.push_back(std::move(b));
   }
-  if (model->weights_.back().cols() != num_outputs) {
+  if (weights.back().cols() != num_outputs) {
     return Status::InvalidArgument("output layer width != num_outputs");
+  }
+
+  auto model = std::make_unique<MlpModel>(config);
+  model->task_ = task;
+  model->num_outputs_ = num_outputs;
+  std::vector<size_t> sizes = {weights.front().rows()};
+  for (const Matrix& w : weights) sizes.push_back(w.cols());
+  model->AllocateLayers(sizes);
+  for (size_t l = 0; l < layers; ++l) {
+    const MlpModel::Layer& layer = model->layers_[l];
+    std::copy(weights[l].data().begin(), weights[l].data().end(),
+              model->params_.begin() + layer.weight_offset);
+    std::copy(biases[l].data().begin(), biases[l].data().end(),
+              model->params_.begin() + layer.bias_offset);
   }
   model->fitted_ = true;
   return model;

@@ -9,30 +9,25 @@ SgdUpdater::SgdUpdater(double momentum, bool nesterov)
   BHPO_CHECK(momentum >= 0.0 && momentum < 1.0);
 }
 
-void SgdUpdater::Step(std::vector<Matrix>* params,
-                      const std::vector<Matrix>& grads, double lr) {
-  BHPO_CHECK(params != nullptr);
-  BHPO_CHECK_EQ(params->size(), grads.size());
-  if (velocity_.empty()) {
-    velocity_.reserve(params->size());
-    for (const Matrix& p : *params) {
-      velocity_.emplace_back(p.rows(), p.cols());
-    }
-  }
-  BHPO_CHECK_EQ(velocity_.size(), params->size());
+void SgdUpdater::Step(std::span<double> params, std::span<const double> grads,
+                      double lr) {
+  BHPO_CHECK_EQ(params.size(), grads.size());
+  if (velocity_.empty()) velocity_.assign(params.size(), 0.0);
+  BHPO_CHECK_EQ(velocity_.size(), params.size());
 
-  for (size_t i = 0; i < params->size(); ++i) {
-    Matrix& v = velocity_[i];
-    BHPO_CHECK(v.SameShape(grads[i]));
+  double* p = params.data();
+  const double* g = grads.data();
+  double* v = velocity_.data();
+  for (size_t j = 0; j < params.size(); ++j) {
     // v = momentum * v - lr * grad
-    v.Scale(momentum_);
-    v.AddScaled(grads[i], -lr);
+    v[j] *= momentum_;
+    v[j] += -lr * g[j];
     if (nesterov_) {
       // p += momentum * v - lr * grad (look-ahead step).
-      (*params)[i].AddScaled(v, momentum_);
-      (*params)[i].AddScaled(grads[i], -lr);
+      p[j] += momentum_ * v[j];
+      p[j] += -lr * g[j];
     } else {
-      (*params)[i].Add(v);
+      p[j] += v[j];
     }
   }
 }

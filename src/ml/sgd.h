@@ -1,22 +1,22 @@
 #ifndef BHPO_ML_SGD_H_
 #define BHPO_ML_SGD_H_
 
+#include <span>
 #include <vector>
-
-#include "common/matrix.h"
 
 namespace bhpo {
 
 // Minibatch SGD parameter updater with (Nesterov) momentum, matching
 // scikit-learn MLP's `sgd` solver (Table III sweeps momentum over
-// 0.7/0.8/0.9). The updater owns one velocity buffer per parameter tensor;
-// parameter list shapes must stay fixed across Step calls.
+// 0.7/0.8/0.9). Works on one flat parameter vector (the MLP's parameter
+// arena) and owns a velocity buffer of the same length, sized on the first
+// Step; the length must stay fixed.
 class SgdUpdater {
  public:
   explicit SgdUpdater(double momentum = 0.9, bool nesterov = true);
 
-  // params[i] -= update derived from grads[i] at learning rate lr.
-  void Step(std::vector<Matrix>* params, const std::vector<Matrix>& grads,
+  // params[j] -= update derived from grads[j] at learning rate lr.
+  void Step(std::span<double> params, std::span<const double> grads,
             double lr);
 
   double momentum() const { return momentum_; }
@@ -24,7 +24,7 @@ class SgdUpdater {
  private:
   double momentum_;
   bool nesterov_;
-  std::vector<Matrix> velocity_;
+  std::vector<double> velocity_;
 };
 
 }  // namespace bhpo

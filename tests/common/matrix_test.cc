@@ -43,7 +43,8 @@ TEST(MatrixDeathTest, FromRowsRejectsRagged) {
 TEST(MatrixTest, MatMulKnownProduct) {
   Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
   Matrix b = Matrix::FromRows({{5, 6}, {7, 8}});
-  Matrix c = a.MatMul(b);
+  Matrix c(2, 2);
+  MatMulInto(a, b, c);
   EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
   EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
   EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
@@ -53,7 +54,8 @@ TEST(MatrixTest, MatMulKnownProduct) {
 TEST(MatrixTest, MatMulIdentityIsNoop) {
   Rng rng(3);
   Matrix a = Matrix::RandomGaussian(4, 4, &rng);
-  Matrix c = a.MatMul(Matrix::Identity(4));
+  Matrix c(4, 4);
+  MatMulInto(a, Matrix::Identity(4), c);
   for (size_t r = 0; r < 4; ++r) {
     for (size_t col = 0; col < 4; ++col) {
       EXPECT_DOUBLE_EQ(c(r, col), a(r, col));
@@ -65,8 +67,10 @@ TEST(MatrixTest, TransposeMatMulMatchesExplicitTranspose) {
   Rng rng(5);
   Matrix a = Matrix::RandomGaussian(5, 3, &rng);
   Matrix b = Matrix::RandomGaussian(5, 4, &rng);
-  Matrix direct = a.TransposeMatMul(b);
-  Matrix expected = a.Transpose().MatMul(b);
+  Matrix direct(3, 4);
+  TransposeMatMulInto(a, b, direct);
+  Matrix expected(3, 4);
+  MatMulInto(a.Transpose(), b, expected);
   ASSERT_TRUE(direct.SameShape(expected));
   for (size_t r = 0; r < direct.rows(); ++r) {
     for (size_t c = 0; c < direct.cols(); ++c) {
@@ -79,8 +83,11 @@ TEST(MatrixTest, MatMulTransposeMatchesExplicitTranspose) {
   Rng rng(7);
   Matrix a = Matrix::RandomGaussian(4, 6, &rng);
   Matrix b = Matrix::RandomGaussian(3, 6, &rng);
-  Matrix direct = a.MatMulTranspose(b);
-  Matrix expected = a.MatMul(b.Transpose());
+  Matrix bt(6, 3);
+  Matrix direct(4, 3);
+  MatMulTransposeInto(a, b, bt, direct);
+  Matrix expected(4, 3);
+  MatMulInto(a, b.Transpose(), expected);
   ASSERT_TRUE(direct.SameShape(expected));
   for (size_t r = 0; r < direct.rows(); ++r) {
     for (size_t c = 0; c < direct.cols(); ++c) {
@@ -90,8 +97,8 @@ TEST(MatrixTest, MatMulTransposeMatchesExplicitTranspose) {
 }
 
 TEST(MatrixDeathTest, MatMulShapeMismatchAborts) {
-  Matrix a(2, 3), b(4, 2);
-  EXPECT_DEATH(a.MatMul(b), "BHPO_CHECK");
+  Matrix a(2, 3), b(4, 2), out(2, 2);
+  EXPECT_DEATH(MatMulInto(a, b, out), "BHPO_CHECK");
 }
 
 TEST(MatrixTest, ElementwiseOps) {

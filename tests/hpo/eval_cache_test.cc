@@ -159,9 +159,12 @@ TEST(EvalCacheTest, HitRateAggregatesBothGranularities) {
 // preset (scripts/check.sh) this also proves data-race freedom on the
 // shard maps and the stats block.
 TEST(EvalCacheTest, ConcurrentInsertAndLookupAreSafe) {
+  constexpr size_t kKeys = 17 * 5 * 3;
   EvalCacheOptions options;
-  options.capacity = 256;
   options.shards = 4;
+  // Each shard holds capacity / shards entries, and the keys do not hash
+  // evenly across shards, so every shard gets room for the whole keyspace.
+  options.capacity = options.shards * 256;
   EvalCache cache(options);
   ThreadPool pool(8);
   constexpr size_t kOps = 2000;
@@ -173,13 +176,14 @@ TEST(EvalCacheTest, ConcurrentInsertAndLookupAreSafe) {
     cache.InsertFold(config, subset, fold, {score, false});
     std::optional<EvalCache::FoldScore> hit =
         cache.LookupFold(config, subset, fold);
-    // The key was just inserted; capacity (256) exceeds the keyspace
-    // (17*5*3), so it cannot have been evicted.
+    // The key was just inserted and no shard can overflow, so it cannot
+    // have been evicted.
     ASSERT_TRUE(hit.has_value());
     EXPECT_DOUBLE_EQ(hit->score, score);
   });
   EvalCacheStats stats = cache.Stats();
-  EXPECT_LE(stats.entries, 256u);
+  EXPECT_EQ(stats.entries, kKeys);
+  EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.fold_hits, kOps);
 }
 

@@ -1,5 +1,8 @@
 #include "hpo/pasha.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "hpo/asha.h"
@@ -100,6 +103,50 @@ TEST(PashaTest, UsesFewerTotalInstancesThanAsha) {
   HpoResult asha_result = asha.Optimize(data, &rng2).value();
 
   EXPECT_LT(pasha_result.total_instances, asha_result.total_instances);
+}
+
+// Fails (demotably) every evaluation above `max_ok_budget`.
+class FailAboveBudget : public FakeStrategy {
+ public:
+  FailAboveBudget(double noise, size_t max_ok_budget)
+      : FakeStrategy(noise), max_ok_budget_(max_ok_budget) {}
+
+  Result<EvalResult> Evaluate(const Configuration& config,
+                              const Dataset& train, size_t budget,
+                              Rng* rng) override {
+    if (budget > max_ok_budget_) return Status::Internal("injected failure");
+    return FakeStrategy::Evaluate(config, train, budget, rng);
+  }
+
+ private:
+  size_t max_ok_budget_;
+};
+
+TEST(PashaTest, AllFailedTopRungFallsBackToHighestHealthyRung) {
+  // Noise grows the ladder past rung 1 (budget 100), and every evaluation
+  // up there fails. The incumbent must come from rung 1, the highest rung
+  // with a healthy entry, never be a demoted -inf sentinel.
+  ConfigSpace space = QualitySpace(6);
+  FailAboveBudget strategy(2.0, 100);
+  PashaOptions options;
+  options.max_jobs = 80;
+  options.min_budget = 50;
+  Pasha pasha(&space, &strategy, options);
+  Dataset data = BudgetDataset(800);
+  Rng rng(2);
+  HpoResult result = pasha.Optimize(data, &rng).value();
+
+  bool top_rung_failed = false;
+  double best_rung1 = -std::numeric_limits<double>::infinity();
+  for (const auto& rec : result.history) {
+    if (rec.eval_failed) top_rung_failed = true;
+    if (!rec.eval_failed && rec.budget == 100) {
+      best_rung1 = std::max(best_rung1, rec.score);
+    }
+  }
+  ASSERT_TRUE(top_rung_failed);
+  EXPECT_TRUE(std::isfinite(result.best_score));
+  EXPECT_EQ(result.best_score, best_rung1);
 }
 
 TEST(PashaTest, RejectsNullRng) {

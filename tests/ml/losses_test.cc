@@ -36,8 +36,8 @@ TEST(HalfMseTest, KnownValue) {
 
 TEST(OutputDeltaClassificationTest, ProbMinusOneHotOverN) {
   Matrix p = Matrix::FromRows({{0.7, 0.3}, {0.4, 0.6}});
-  Matrix delta;
-  OutputDeltaClassification(p, {0, 1}, &delta);
+  Matrix delta(2, 2);
+  OutputDeltaClassification(p, {0, 1}, delta);
   EXPECT_NEAR(delta(0, 0), (0.7 - 1.0) / 2.0, 1e-12);
   EXPECT_NEAR(delta(0, 1), 0.3 / 2.0, 1e-12);
   EXPECT_NEAR(delta(1, 1), (0.6 - 1.0) / 2.0, 1e-12);
@@ -46,15 +46,15 @@ TEST(OutputDeltaClassificationTest, ProbMinusOneHotOverN) {
 TEST(OutputDeltaClassificationTest, RowsSumToZero) {
   // Softmax rows sum to 1 and the one-hot subtracts exactly 1.
   Matrix p = Matrix::FromRows({{0.2, 0.5, 0.3}});
-  Matrix delta;
-  OutputDeltaClassification(p, {1}, &delta);
+  Matrix delta(1, 3);
+  OutputDeltaClassification(p, {1}, delta);
   EXPECT_NEAR(delta(0, 0) + delta(0, 1) + delta(0, 2), 0.0, 1e-12);
 }
 
 TEST(OutputDeltaRegressionTest, ResidualOverN) {
   Matrix pred = Matrix::FromRows({{2.0}, {5.0}});
-  Matrix delta;
-  OutputDeltaRegression(pred, {1.0, 7.0}, &delta);
+  Matrix delta(2, 1);
+  OutputDeltaRegression(pred, {1.0, 7.0}, delta);
   EXPECT_DOUBLE_EQ(delta(0, 0), 0.5);
   EXPECT_DOUBLE_EQ(delta(1, 0), -1.0);
 }

@@ -1,6 +1,7 @@
 #include "ml/mlp.h"
 
 #include <cmath>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -104,38 +105,37 @@ TEST_P(GradientCheckTest, BackpropMatchesFiniteDifferences) {
   model.InitializeParameters(data.num_features(),
                              param.task == Task::kClassification ? 3 : 1, 17);
 
-  std::vector<Matrix> weight_grads, bias_grads;
-  model.ComputeLossAndGradients(data, &weight_grads, &bias_grads);
+  std::vector<double> grad;
+  model.ComputeLossAndGradients(data, &grad);
+  ASSERT_EQ(grad.size(), model.parameters().size());
 
+  // Every parameter of the arena: all layers' weights, then their biases.
   const double kEps = 1e-6;
-  std::vector<Matrix> dummy_w, dummy_b;
-  // Check a sample of weight entries in every layer.
-  for (size_t l = 0; l < model.weights().size(); ++l) {
-    Matrix& w = (*model.mutable_weights())[l];
-    for (size_t idx = 0; idx < w.size(); idx += 1 + w.size() / 7) {
-      double original = w.data()[idx];
-      w.data()[idx] = original + kEps;
-      double plus = model.ComputeLossAndGradients(data, &dummy_w, &dummy_b);
-      w.data()[idx] = original - kEps;
-      double minus = model.ComputeLossAndGradients(data, &dummy_w, &dummy_b);
-      w.data()[idx] = original;
-      double fd = (plus - minus) / (2 * kEps);
-      EXPECT_NEAR(weight_grads[l].data()[idx], fd, 1e-5)
-          << "layer " << l << " weight " << idx;
-    }
-    Matrix& b = (*model.mutable_biases())[l];
-    for (size_t idx = 0; idx < b.size(); idx += 2) {
-      double original = b.data()[idx];
-      b.data()[idx] = original + kEps;
-      double plus = model.ComputeLossAndGradients(data, &dummy_w, &dummy_b);
-      b.data()[idx] = original - kEps;
-      double minus = model.ComputeLossAndGradients(data, &dummy_w, &dummy_b);
-      b.data()[idx] = original;
-      double fd = (plus - minus) / (2 * kEps);
-      EXPECT_NEAR(bias_grads[l].data()[idx], fd, 1e-5)
-          << "layer " << l << " bias " << idx;
-    }
+  std::vector<double> unused;
+  std::span<double> params = model.mutable_parameters();
+  for (size_t idx = 0; idx < params.size(); ++idx) {
+    double original = params[idx];
+    params[idx] = original + kEps;
+    double plus = model.ComputeLossAndGradients(data, &unused);
+    params[idx] = original - kEps;
+    double minus = model.ComputeLossAndGradients(data, &unused);
+    params[idx] = original;
+    double fd = (plus - minus) / (2 * kEps);
+    EXPECT_NEAR(grad[idx], fd, 1e-5) << "parameter " << idx;
   }
+
+  // The per-layer views tile the arena: weights first, then biases.
+  size_t offset = 0;
+  for (size_t l = 0; l < model.num_layers(); ++l) {
+    EXPECT_EQ(model.weights(l).data, params.data() + offset);
+    offset += model.weights(l).size();
+  }
+  for (size_t l = 0; l < model.num_layers(); ++l) {
+    EXPECT_EQ(model.bias(l).data, params.data() + offset);
+    EXPECT_EQ(model.bias(l).rows, 1u);
+    offset += model.bias(l).size();
+  }
+  EXPECT_EQ(offset, params.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
