@@ -7,7 +7,8 @@
 #   2. tier-1           Release build + full ctest
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
-#   4. ASan+UBSan       cache + thread-pool + gather/layout suites
+#   4. ASan+UBSan       cache + thread-pool + gather/layout suites, every
+#                       optimizer (suites + goldens) and the FaultSmoke runs
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites and
 #                       the contended stress test under -fsanitize=thread
 #   6. faults           (--faults) the fault-tolerance suites plus the
@@ -64,14 +65,19 @@ if [[ "$run_tidy" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== ASan+UBSan: cache + thread-pool + gather/layout suites =="
+  echo "== ASan+UBSan: cache + thread-pool + gather/layout + optimizer suites =="
   cmake --preset asan >/dev/null
   cmake --build build-asan -j"$jobs" \
     --target bhpo_hpo_test bhpo_common_test bhpo_data_test bhpo_ml_test \
-             bhpo_stress_test
+             bhpo_stress_test bhpo_fault_test
 
   ./build-asan/tests/bhpo_hpo_test \
     --gtest_filter='EvalCache*:CachingStrategy*:FoldCache*:CacheTransparency*'
+  # Every optimizer records through the run ledger, which owns the history
+  # and the configurations in it: run them all, goldens included.
+  ./build-asan/tests/bhpo_hpo_test \
+    --gtest_filter='Sha*:Hyperband*:Bohb*:Dehb*:Asha*:Pasha*:Smac*:Tpe*:OptimizerGolden*:RunLedger*:AllOptimizers/*'
+  ./build-asan/tests/bhpo_fault_test --gtest_filter='FaultSmoke*'
   ./build-asan/tests/bhpo_common_test --gtest_filter='*ThreadPool*'
   # Gather kernel + blocked layout under ASan, both dispatch variants: the
   # edge-width/misalignment suite flips the runtime toggle itself, and the

@@ -7,80 +7,53 @@
 
 namespace bhpo {
 
-namespace {
-
-struct RungEntry {
-  Configuration config;
-  double score;
-  bool promoted;
-};
-
-}  // namespace
-
-Result<HpoResult> Asha::Optimize(const Dataset& train, Rng* rng) {
+Result<HpoResult> RunAshaLoop(const ConfigSpace& space,
+                              EvalStrategy* strategy,
+                              const AshaOptions& options,
+                              const RungGrowthRule& grow,
+                              const Dataset& train, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("null rng");
 
-  double eta = static_cast<double>(options_.eta);
-  size_t r_min = options_.min_budget > 0
-                     ? options_.min_budget
-                     : std::max<size_t>(
-                           20, static_cast<size_t>(
-                                   static_cast<double>(train.n()) /
-                                   std::pow(eta, 3)));
-  r_min = std::min(r_min, train.n());
-
-  // Rung k evaluates at budget r_min * eta^k, capped at n; the top rung is
-  // the first one that reaches the full dataset.
+  double eta = static_cast<double>(options.eta);
   std::vector<size_t> rung_budget;
-  for (size_t b = r_min;; b = static_cast<size_t>(b * eta)) {
+  for (size_t b = MinRungBudget(options.min_budget, options.eta, train.n());;
+       b = static_cast<size_t>(b * eta)) {
     rung_budget.push_back(std::min(b, train.n()));
     if (rung_budget.back() >= train.n()) break;
   }
   size_t top = rung_budget.size() - 1;
+  size_t active_top = grow ? std::min<size_t>(1, top) : top;
 
-  std::vector<std::vector<RungEntry>> rungs(rung_budget.size());
-  HpoResult result;
-  bool have_best = false;
+  std::vector<std::vector<AshaRungEntry>> rungs(rung_budget.size());
+  RunLedger ledger;
   // Evaluations draw from per-(config, budget) streams off this root, so a
   // config re-evaluated at a rung budget it has already seen (promotion
   // after a cap, duplicate sample) replays identically — and cache-ably.
   uint64_t eval_root = rng->engine()();
 
-  auto run_job = [&](const Configuration& config,
-                     size_t rung) -> Status {
-    Rng eval_rng = PerEvalRng(eval_root, config, rung_budget[rung], train.n());
+  auto run_job = [&](const Configuration& config, size_t rung) -> Status {
     // Demotable failures become sentinel entries that sink to the bottom of
     // the rung instead of killing the search.
     BHPO_ASSIGN_OR_RETURN(
         EvalResult eval,
-        EvaluateOrDemote(strategy_, config, train, rung_budget[rung],
-                         &eval_rng));
+        EvaluateOrDemote(strategy, config, train, rung_budget[rung],
+                         eval_root));
     rungs[rung].push_back({config, eval.score, false});
-    result.history.push_back(
-        {config, eval.score, eval.budget_used, eval.eval_failed});
-    ++result.num_evaluations;
-    result.total_instances += eval.budget_used;
-    AccumulateFaults(eval, &result.faults);
-    if (rung == top && !eval.eval_failed &&
-        (!have_best || eval.score > result.best_score)) {
-      result.best_score = eval.score;
-      result.best_config = config;
-      have_best = true;
-    }
+    ledger.Record(config, rung, eval);
     return Status::OK();
   };
 
-  for (size_t job = 0; job < options_.max_jobs; ++job) {
+  for (size_t job = 0; job < options.max_jobs; ++job) {
     // ASHA promotion rule: scan rungs top-down for a configuration that is
     // in the top 1/eta of its rung and not yet promoted.
     bool promoted = false;
-    for (size_t k = top; k-- > 0 && !promoted;) {
+    for (size_t k = active_top; k-- > 0 && !promoted;) {
       size_t promotable = static_cast<size_t>(
           std::floor(static_cast<double>(rungs[k].size()) / eta));
       if (promotable == 0) continue;
       std::vector<double> scores;
       scores.reserve(rungs[k].size());
-      for (const RungEntry& e : rungs[k]) scores.push_back(e.score);
+      for (const AshaRungEntry& e : rungs[k]) scores.push_back(e.score);
       for (size_t idx : TopIndicesByScore(scores, promotable)) {
         if (!rungs[k][idx].promoted) {
           rungs[k][idx].promoted = true;
@@ -91,29 +64,18 @@ Result<HpoResult> Asha::Optimize(const Dataset& train, Rng* rng) {
       }
     }
     if (!promoted) {
-      BHPO_RETURN_NOT_OK(run_job(space_->Sample(rng), 0));
+      BHPO_RETURN_NOT_OK(run_job(space.Sample(rng), 0));
+    }
+    if (active_top < top &&
+        grow(rungs[active_top - 1], rungs[active_top])) {
+      ++active_top;
     }
   }
+  return std::move(ledger).Finish();
+}
 
-  if (!have_best) {
-    // No configuration reached the top rung within max_jobs; fall back to
-    // the best entry of the highest populated rung.
-    for (size_t k = rung_budget.size(); k-- > 0;) {
-      if (rungs[k].empty()) continue;
-      for (const RungEntry& e : rungs[k]) {
-        if (!have_best || e.score > result.best_score) {
-          result.best_score = e.score;
-          result.best_config = e.config;
-          have_best = true;
-        }
-      }
-      break;
-    }
-  }
-  if (!have_best) {
-    return Status::Internal("asha ran no evaluations");
-  }
-  return result;
+Result<HpoResult> Asha::Optimize(const Dataset& train, Rng* rng) {
+  return RunAshaLoop(*space_, strategy_, options_, nullptr, train, rng);
 }
 
 }  // namespace bhpo

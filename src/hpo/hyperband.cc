@@ -12,20 +12,13 @@ Result<HpoResult> Hyperband::Optimize(const Dataset& train, Rng* rng) {
 
   double eta = static_cast<double>(options_.eta);
   size_t big_r = train.n();  // Maximum per-configuration budget.
-  size_t r_min = options_.min_budget > 0
-                     ? options_.min_budget
-                     : std::max<size_t>(
-                           20, static_cast<size_t>(
-                                   static_cast<double>(big_r) /
-                                   std::pow(eta, 3)));
-  r_min = std::min(r_min, big_r);
+  size_t r_min = MinRungBudget(options_.min_budget, options_.eta, big_r);
   int s_max = static_cast<int>(std::floor(
       std::log(static_cast<double>(big_r) / static_cast<double>(r_min)) /
       std::log(eta)));
   s_max = std::max(s_max, 0);
 
-  HpoResult result;
-  bool have_best = false;
+  RunLedger ledger;
   // Shared across ALL brackets: a configuration re-sampled in a later
   // bracket replays the same per-(config, budget) evaluation streams, so a
   // wired-in evaluation cache serves those repeats without retraining.
@@ -60,21 +53,9 @@ Result<HpoResult> Hyperband::Optimize(const Dataset& train, Rng* rng) {
         if (!eval.eval_failed) {
           sampler_->Observe(configs[c], eval.score, eval.budget_used);
         }
-        result.history.push_back(
-            {configs[c], eval.score, eval.budget_used, eval.eval_failed});
-        ++result.num_evaluations;
-        result.total_instances += eval.budget_used;
-        AccumulateFaults(eval, &result.faults);
-
-        // Every bracket tops out at budget R, and only those evaluations
-        // are comparable across brackets. Demoted evaluations never become
-        // the winner: their sentinel carries no information.
-        if (budget == big_r && !eval.eval_failed &&
-            (!have_best || eval.score > result.best_score)) {
-          result.best_score = eval.score;
-          result.best_config = configs[c];
-          have_best = true;
-        }
+        // Keyed on the requested budget: every bracket tops out at R, and
+        // only evaluations at equal budgets compare across brackets.
+        ledger.Record(configs[c], budget, eval);
       }
 
       if (i == s) break;  // Last rung of the bracket.
@@ -89,10 +70,7 @@ Result<HpoResult> Hyperband::Optimize(const Dataset& train, Rng* rng) {
     }
   }
 
-  if (!have_best) {
-    return Status::Internal("hyperband produced no full-budget evaluation");
-  }
-  return result;
+  return std::move(ledger).Finish();
 }
 
 }  // namespace bhpo

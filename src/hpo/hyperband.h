@@ -44,7 +44,7 @@ class RandomConfigSampler : public ConfigSampler {
 struct HyperbandOptions {
   int eta = 3;
   // Smallest per-configuration instance budget r. 0 = auto:
-  // max(20, R / eta^3), capped at R = train.n().
+  // max(20, R / eta^3), capped at R = train.n() (MinRungBudget).
   size_t min_budget = 0;
   // Optional worker pool for within-rung parallelism (same contract as
   // ShaOptions::pool). Sampler Observe callbacks remain sequential and
@@ -54,7 +54,9 @@ struct HyperbandOptions {
 
 // Hyperband: runs SHA brackets s = s_max .. 0 trading off the number of
 // configurations against their starting budget; every bracket's last rung
-// evaluates at the full budget R = n, and the best full-budget score wins.
+// evaluates at the full budget R = n, and the best full-budget score wins
+// (the RunLedger rule, keyed on the requested budget: if every full-budget
+// evaluation failed, the highest budget with a healthy entry).
 class Hyperband : public HpoOptimizer {
  public:
   // All pointers must outlive the optimizer.

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/logging.h"
+#include "hpo/checkpoint.h"
 #include "ml/mlp.h"
 
 namespace bhpo {
@@ -28,26 +29,84 @@ EvalResult DemotedEvalResult() {
   return out;
 }
 
-Result<EvalResult> EvaluateOrDemote(EvalStrategy* strategy,
-                                    const Configuration& config,
-                                    const Dataset& train, size_t budget,
-                                    Rng* rng) {
-  Result<EvalResult> result = strategy->Evaluate(config, train, budget, rng);
-  if (result.ok()) return result;
-  if (!IsDemotableEvalError(result.status())) return result.status();
+Result<EvalResult> DemoteIfFailed(Result<EvalResult> result,
+                                  const Configuration& config) {
+  if (result.ok() || !IsDemotableEvalError(result.status())) return result;
   BHPO_LOG(kWarning) << "evaluation of " << config.ToString()
                      << " demoted to sentinel score: "
                      << result.status().ToString();
   return DemotedEvalResult();
 }
 
-void AccumulateFaults(const EvalResult& eval, FaultReport* report) {
-  if (eval.eval_failed) ++report->failed_evals;
-  report->failed_folds += eval.cv.failed_folds;
-  report->quarantined_folds += eval.cv.quarantined_folds;
-  report->timed_out_folds += eval.cv.timed_out_folds;
-  report->fold_retries += eval.cv.fold_retries;
-  report->injected_faults += eval.cv.injected_faults;
+Result<EvalResult> EvaluateOrDemote(EvalStrategy* strategy,
+                                    const Configuration& config,
+                                    const Dataset& train, size_t budget,
+                                    uint64_t eval_root) {
+  Rng eval_rng = PerEvalRng(eval_root, config, budget, train.n());
+  return DemoteIfFailed(strategy->Evaluate(config, train, budget, &eval_rng),
+                        config);
+}
+
+void RunLedger::Record(const Configuration& config, size_t rung,
+                       const EvalResult& eval) {
+  result_.history.push_back(
+      {config, eval.score, eval.budget_used, eval.eval_failed});
+  ++result_.num_evaluations;
+  result_.total_instances += eval.budget_used;
+  FaultReport& faults = result_.faults;
+  if (eval.eval_failed) ++faults.failed_evals;
+  faults.failed_folds += eval.cv.failed_folds;
+  faults.quarantined_folds += eval.cv.quarantined_folds;
+  faults.timed_out_folds += eval.cv.timed_out_folds;
+  faults.fold_retries += eval.cv.fold_retries;
+  faults.injected_faults += eval.cv.injected_faults;
+  Offer(result_.history.size() - 1, rung);
+}
+
+void RunLedger::Offer(size_t index, size_t rung) {
+  const EvaluationRecord& record = result_.history[index];
+  if (record.eval_failed) return;
+  // Strict > keeps the earliest of equal scores.
+  if (!has_incumbent_ || rung > incumbent_rung_ ||
+      (rung == incumbent_rung_ && record.score > incumbent_score())) {
+    has_incumbent_ = true;
+    incumbent_ = index;
+    incumbent_rung_ = rung;
+  }
+}
+
+double RunLedger::incumbent_score() const {
+  BHPO_CHECK(has_incumbent_);
+  return result_.history[incumbent_].score;
+}
+
+void RunLedger::SaveTo(CheckpointState* state) const {
+  state->history = result_.history;
+  state->num_evaluations = result_.num_evaluations;
+  state->total_instances = result_.total_instances;
+  state->faults = result_.faults;
+}
+
+void RunLedger::Restore(const CheckpointState& state,
+                        const std::vector<size_t>& rungs) {
+  BHPO_CHECK_EQ(rungs.size(), state.history.size());
+  result_.history = state.history;
+  result_.num_evaluations = state.num_evaluations;
+  result_.total_instances = state.total_instances;
+  result_.faults = state.faults;
+  has_incumbent_ = false;
+  for (size_t i = 0; i < rungs.size(); ++i) Offer(i, rungs[i]);
+}
+
+Result<HpoResult> RunLedger::Finish() && {
+  if (!has_incumbent_) {
+    return Status::Unavailable(
+        "no incumbent: all " + std::to_string(result_.num_evaluations) +
+        " evaluations failed");
+  }
+  result_.best_config = result_.history[incumbent_].config;
+  result_.best_score = result_.history[incumbent_].score;
+  return std::move(result_);
 }
 
 Result<FinalEvaluation> EvaluateFinalConfig(const Configuration& config,

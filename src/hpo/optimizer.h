@@ -54,10 +54,10 @@ struct HpoResult {
   FaultReport faults;
 };
 
-// Common interface of random search, SHA, Hyperband, BOHB and ASHA. An
-// optimizer is wired to an EvalStrategy at construction; running the same
-// optimizer with VanillaStrategy vs EnhancedStrategy gives the paper's
-// "X" vs "X+" pairs.
+// Common interface of all nine optimizers: random search, SHA, Hyperband,
+// BOHB, DEHB, ASHA, PASHA, SMAC and TPE. An optimizer is wired to an
+// EvalStrategy at construction; running the same optimizer with
+// VanillaStrategy vs EnhancedStrategy gives the paper's "X" vs "X+" pairs.
 class HpoOptimizer {
  public:
   virtual ~HpoOptimizer() = default;
@@ -95,15 +95,63 @@ bool IsDemotableEvalError(const Status& status);
 // (loses any comparison), eval_failed = true, zero budget consumed.
 EvalResult DemotedEvalResult();
 
-// Evaluate, demoting demotable failures to DemotedEvalResult() instead of
-// propagating them. Non-demotable errors still return their Status.
+// Passes a successful evaluation or a non-demotable error through, and
+// converts a demotable failure into DemotedEvalResult() (logging why).
+Result<EvalResult> DemoteIfFailed(Result<EvalResult> result,
+                                  const Configuration& config);
+
+// Evaluates `config` at `budget` on its own PerEvalRng(eval_root, config,
+// budget, n) stream, through DemoteIfFailed.
 Result<EvalResult> EvaluateOrDemote(EvalStrategy* strategy,
                                     const Configuration& config,
                                     const Dataset& train, size_t budget,
-                                    Rng* rng);
+                                    uint64_t eval_root);
 
-// Folds one evaluation's degradation counters into a run-level report.
-void AccumulateFaults(const EvalResult& eval, FaultReport* report);
+// --- The run ledger --------------------------------------------------------
+// Every optimizer records its evaluations through one RunLedger, which owns
+// the HpoResult under construction: history, counters, fault report and
+// incumbent.
+//
+// The incumbent rule, identical for all nine optimizers: the best
+// non-demoted entry of the highest rung that has one, the earliest entry
+// winning ties. A rung is the fidelity the optimizer asked for (SHA's and
+// ASHA's rung index, Hyperband's requested budget, 0 for the full-budget
+// searches), never the budget an evaluation reports using, which can clamp
+// to the same value on different rungs. When every evaluation was demoted
+// there is no incumbent and the run fails with one status.
+
+struct CheckpointState;  // hpo/checkpoint.h
+
+class RunLedger {
+ public:
+  // Appends the evaluation to the history, counts it and its instances,
+  // folds its fault counters into the report and offers it as incumbent.
+  void Record(const Configuration& config, size_t rung,
+              const EvalResult& eval);
+
+  // Score of the incumbent so far; requires a healthy entry.
+  double incumbent_score() const;
+
+  // Copies the history, counters and faults into `state`; the rest of the
+  // checkpoint is the optimizer's.
+  void SaveTo(CheckpointState* state) const;
+  // Takes over a checkpoint's history, counters and faults; `rungs[i]` is
+  // the rung history[i] was recorded at, from which the incumbent is
+  // rebuilt. Requires rungs.size() == state.history.size().
+  void Restore(const CheckpointState& state, const std::vector<size_t>& rungs);
+
+  // The result, with best_config / best_score taken from the incumbent.
+  // Unavailable when every evaluation was demoted or none ran.
+  Result<HpoResult> Finish() &&;
+
+ private:
+  void Offer(size_t index, size_t rung);
+
+  HpoResult result_;
+  bool has_incumbent_ = false;
+  size_t incumbent_ = 0;  // Index into result_.history.
+  size_t incumbent_rung_ = 0;
+};
 
 }  // namespace bhpo
 

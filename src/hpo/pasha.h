@@ -20,8 +20,9 @@ struct PashaOptions {
 // starts short (two rungs) and a new, higher rung is unlocked only when
 // the *soft ranking* of configurations disagrees between the current top
 // two rungs — i.e. when cheap evaluations stop being predictive and more
-// budget is genuinely needed. This implementation runs PASHA's scheduling
-// logic in a sequential simulation (one worker), like our ASHA.
+// budget is genuinely needed. Pasha is ASHA's loop (RunAshaLoop, one
+// sequential worker) plus that growth step; everything else, incumbent rule
+// included, is ASHA's.
 class Pasha : public HpoOptimizer {
  public:
   Pasha(const ConfigSpace* space, EvalStrategy* strategy,

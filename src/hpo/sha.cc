@@ -1,6 +1,7 @@
 #include "hpo/sha.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <optional>
 
@@ -18,6 +19,15 @@ std::vector<size_t> TopIndicesByScore(const std::vector<double>& scores,
   });
   order.resize(keep);
   return order;
+}
+
+size_t MinRungBudget(size_t requested, int eta, size_t max_budget) {
+  double auto_budget = static_cast<double>(max_budget) /
+                       std::pow(static_cast<double>(eta), 3);
+  size_t r_min = requested > 0
+                     ? requested
+                     : std::max<size_t>(20, static_cast<size_t>(auto_budget));
+  return std::min(r_min, max_budget);
 }
 
 Result<std::vector<EvalResult>> EvaluateBatch(
@@ -40,19 +50,10 @@ Result<std::vector<EvalResult>> EvaluateBatch(
   std::vector<EvalResult> results;
   results.reserve(configs.size());
   for (size_t i = 0; i < raw.size(); ++i) {
-    auto& r = raw[i];
-    BHPO_CHECK(r.has_value());
-    if (!r->ok()) {
-      // Rung-level graceful degradation: a broken candidate is demoted
-      // with a sentinel score instead of aborting the whole bracket.
-      if (!IsDemotableEvalError(r->status())) return r->status();
-      BHPO_LOG(kWarning) << "evaluation of " << configs[i].ToString()
-                         << " demoted to sentinel score: "
-                         << r->status().ToString();
-      results.push_back(DemotedEvalResult());
-      continue;
-    }
-    results.push_back(std::move(**r));
+    BHPO_CHECK(raw[i].has_value());
+    BHPO_ASSIGN_OR_RETURN(EvalResult eval,
+                          DemoteIfFailed(std::move(*raw[i]), configs[i]));
+    results.push_back(std::move(eval));
   }
   return results;
 }
@@ -60,12 +61,15 @@ Result<std::vector<EvalResult>> EvaluateBatch(
 Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("null rng");
 
-  HpoResult result;
+  RunLedger ledger;
   std::vector<Configuration> survivors;
   size_t total_budget = train.n();  // B = n (Table I).
-  double last_best_score = 0.0;
   uint64_t eval_root = 0;
   size_t rungs_completed = 0;
+  auto keep_of = [this](size_t size) {
+    return std::max<size_t>(
+        1, (size + options_.eta - 1) / static_cast<size_t>(options_.eta));
+  };
 
   const CheckpointState* resume = options_.checkpoint.resume;
   if (resume != nullptr) {
@@ -80,23 +84,32 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
           "checkpoint run tag '" + resume->run_tag +
           "' does not match expected '" + options_.checkpoint.run_tag + "'");
     }
+    // Rung sizes are a pure function of |T_0| and eta, so the rung of every
+    // restored record follows from its position in the history.
+    std::vector<size_t> rungs;
+    size_t size = candidates_.size();
+    for (size_t k = 0; k < resume->rungs_completed; ++k) {
+      rungs.insert(rungs.end(), size, k);
+      size = keep_of(size);
+    }
+    if (rungs.size() != resume->history.size() ||
+        size != resume->survivors.size()) {
+      return Status::InvalidArgument(
+          "checkpoint history does not match " +
+          std::to_string(candidates_.size()) + " candidates after " +
+          std::to_string(resume->rungs_completed) + " rungs");
+    }
     // Restoring eval_root (and NOT drawing from rng) is what makes every
     // remaining evaluation replay the uninterrupted run bit-identically.
     eval_root = resume->eval_root;
     rungs_completed = resume->rungs_completed;
     survivors = resume->survivors;
-    result.history = resume->history;
-    result.num_evaluations = resume->num_evaluations;
-    result.total_instances = resume->total_instances;
-    result.faults = resume->faults;
+    ledger.Restore(*resume, rungs);
   } else {
     survivors = candidates_;
     // One stream root for the whole run; every evaluation's randomness is
     // PerEvalRng(root, config, budget) from here on.
     eval_root = rng->engine()();
-  }
-  if (survivors.empty()) {
-    return Status::InvalidArgument("checkpoint holds no survivors");
   }
 
   while (survivors.size() > 1) {
@@ -109,19 +122,11 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
     std::vector<double> scores(survivors.size());
     for (size_t i = 0; i < survivors.size(); ++i) {
       scores[i] = evals[i].score;
-      result.history.push_back({survivors[i], evals[i].score,
-                                evals[i].budget_used, evals[i].eval_failed});
-      ++result.num_evaluations;
-      result.total_instances += evals[i].budget_used;
-      AccumulateFaults(evals[i], &result.faults);
+      ledger.Record(survivors[i], rungs_completed, evals[i]);
     }
 
-    size_t keep = std::max<size_t>(
-        1, (survivors.size() + options_.eta - 1) /
-               static_cast<size_t>(options_.eta));
-    std::vector<size_t> kept = TopIndicesByScore(scores, keep);
-    last_best_score = scores[kept.front()];
-
+    std::vector<size_t> kept =
+        TopIndicesByScore(scores, keep_of(survivors.size()));
     std::vector<Configuration> next;
     next.reserve(kept.size());
     for (size_t idx : kept) next.push_back(std::move(survivors[idx]));
@@ -135,10 +140,7 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
       state.eval_root = eval_root;
       state.rungs_completed = rungs_completed;
       state.survivors = survivors;
-      state.history = result.history;
-      state.num_evaluations = result.num_evaluations;
-      state.total_instances = result.total_instances;
-      state.faults = result.faults;
+      ledger.SaveTo(&state);
       Status saved = SaveCheckpoint(options_.checkpoint.path, state,
                                     options_.checkpoint.faults);
       if (!saved.ok()) {
@@ -159,41 +161,17 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
     }
   }
 
-  result.best_config = survivors.front();
-  if (candidates_.size() == 1 && resume == nullptr) {
+  if (candidates_.size() == 1) {
     // Degenerate space: score the lone candidate at full budget.
-    Rng eval_rng =
-        PerEvalRng(eval_root, result.best_config, train.n(), train.n());
-    BHPO_ASSIGN_OR_RETURN(
-        EvalResult eval,
-        EvaluateOrDemote(strategy_, result.best_config, train, train.n(),
-                         &eval_rng));
-    last_best_score = eval.score;
-    result.history.push_back(
-        {result.best_config, eval.score, eval.budget_used, eval.eval_failed});
-    ++result.num_evaluations;
-    result.total_instances += eval.budget_used;
-    AccumulateFaults(eval, &result.faults);
+    BHPO_ASSIGN_OR_RETURN(EvalResult eval,
+                          EvaluateOrDemote(strategy_, survivors.front(),
+                                           train, train.n(), eval_root));
+    ledger.Record(survivors.front(), 0, eval);
   }
-
-  // Report the winner's own score from the evaluation record — its
-  // highest-budget (latest, on ties) entry — rather than whatever score
-  // happened to top the last rung. The two coincide in the common case,
-  // but recomputing from history keeps best_score honest for any rung
-  // schedule (and for searches where every score is negative, where a 0.0
-  // fallback would overstate the result).
-  result.best_score = last_best_score;
-  bool found = false;
-  size_t best_budget = 0;
-  for (const EvaluationRecord& record : result.history) {
-    if (!(record.config == result.best_config)) continue;
-    if (!found || record.budget >= best_budget) {
-      found = true;
-      best_budget = record.budget;
-      result.best_score = record.score;
-    }
-  }
-  return result;
+  // The winner is the last rung's best healthy entry, which is the survivor
+  // whenever the survivor was not demoted; if the whole rung was, the
+  // highest lower rung with a healthy entry supplies it.
+  return std::move(ledger).Finish();
 }
 
 }  // namespace bhpo

@@ -76,9 +76,15 @@ class SuccessiveHalving : public HpoOptimizer {
 };
 
 // Ranks `scores` descending and returns the indices of the `keep` best
-// (stable: earlier candidates win ties). Shared by SHA/Hyperband/ASHA.
+// (stable: earlier candidates win ties). Shared by SHA, Hyperband (and so
+// BOHB and DEHB) and the ASHA promotion loop (ASHA and PASHA).
 std::vector<size_t> TopIndicesByScore(const std::vector<double>& scores,
                                       size_t keep);
+
+// Rung-0 budget of a Hyperband, ASHA or PASHA ladder over `max_budget`
+// instances: `requested` when non-zero, else max(20, max_budget / eta^3);
+// capped at max_budget either way.
+size_t MinRungBudget(size_t requested, int eta, size_t max_budget);
 
 // Evaluates a rung of configurations at one budget, serially or on the
 // pool (see ShaOptions::pool for the threading contract). Each evaluation
@@ -88,9 +94,9 @@ std::vector<size_t> TopIndicesByScore(const std::vector<double>& scores,
 // (config, budget) pair recurs — within a rung, across Hyperband brackets,
 // or across the whole run — which is what the evaluation cache exploits.
 // `eval_root` is drawn once per optimizer run from the master rng.
-// Demotable evaluation failures (IsDemotableEvalError) are converted to
-// DemotedEvalResult() sentinels so one broken candidate never aborts the
-// rung; non-demotable errors (invalid argument) still propagate.
+// Failures go through DemoteIfFailed, in batch order: a demotable one
+// becomes a sentinel so one broken candidate never aborts the rung, a
+// non-demotable one (invalid argument) still propagates.
 Result<std::vector<EvalResult>> EvaluateBatch(
     EvalStrategy* strategy, const std::vector<Configuration>& configs,
     const Dataset& train, size_t budget, uint64_t eval_root,

@@ -22,33 +22,22 @@ double ExpectedImprovement(double mean, double stddev, double best,
 Result<HpoResult> Smac::Optimize(const Dataset& train, Rng* rng) {
   if (rng == nullptr) return Status::InvalidArgument("null rng");
 
-  HpoResult result;
-  bool have_best = false;
+  RunLedger ledger;
   std::vector<std::vector<double>> observed_encodings;
   std::vector<double> observed_scores;
   // Per-(config, budget) evaluation streams; see eval_strategy.h.
   uint64_t eval_root = rng->engine()();
 
   auto evaluate = [&](const Configuration& config) -> Status {
-    Rng eval_rng = PerEvalRng(eval_root, config, train.n(), train.n());
     BHPO_ASSIGN_OR_RETURN(
         EvalResult eval,
-        EvaluateOrDemote(strategy_, config, train, train.n(), &eval_rng));
+        EvaluateOrDemote(strategy_, config, train, train.n(), eval_root));
     if (!eval.eval_failed) {
       // The surrogate must not learn from a sentinel -inf observation.
       observed_encodings.push_back(space_->Encode(config));
       observed_scores.push_back(eval.score);
     }
-    result.history.push_back(
-        {config, eval.score, eval.budget_used, eval.eval_failed});
-    ++result.num_evaluations;
-    result.total_instances += eval.budget_used;
-    AccumulateFaults(eval, &result.faults);
-    if (!eval.eval_failed && (!have_best || eval.score > result.best_score)) {
-      result.best_score = eval.score;
-      result.best_config = config;
-      have_best = true;
-    }
+    ledger.Record(config, 0, eval);
     return Status::OK();
   };
 
@@ -59,6 +48,12 @@ Result<HpoResult> Smac::Optimize(const Dataset& train, Rng* rng) {
   }
 
   for (size_t iter = warm; iter < options_.num_iterations; ++iter) {
+    if (observed_scores.empty()) {
+      // Every evaluation so far failed: nothing to fit the surrogate on, so
+      // keep sampling at random.
+      BHPO_RETURN_NOT_OK(evaluate(space_->Sample(rng)));
+      continue;
+    }
     // Fit the surrogate on everything observed so far.
     Matrix x(observed_encodings.size(), space_->num_hyperparameters());
     for (size_t r = 0; r < observed_encodings.size(); ++r) {
@@ -93,8 +88,9 @@ Result<HpoResult> Smac::Optimize(const Dataset& train, Rng* rng) {
 
     size_t best_candidate = 0;
     double best_ei = -1.0;
+    double incumbent = ledger.incumbent_score();
     for (size_t i = 0; i < candidate_configs.size(); ++i) {
-      double ei = ExpectedImprovement(mean[i], stddev[i], result.best_score,
+      double ei = ExpectedImprovement(mean[i], stddev[i], incumbent,
                                       options_.ei_xi);
       if (ei > best_ei) {
         best_ei = ei;
@@ -103,7 +99,7 @@ Result<HpoResult> Smac::Optimize(const Dataset& train, Rng* rng) {
     }
     BHPO_RETURN_NOT_OK(evaluate(candidate_configs[best_candidate]));
   }
-  return result;
+  return std::move(ledger).Finish();
 }
 
 }  // namespace bhpo

@@ -1,5 +1,7 @@
 #include "hpo/asha.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "tests/hpo/fake_strategy.h"
@@ -73,6 +75,37 @@ TEST(AshaTest, FewJobsFallsBackToBestPopulatedRung) {
   Rng rng(5);
   HpoResult result = asha.Optimize(data, &rng).value();
   EXPECT_TRUE(result.best_config.Has("q"));
+}
+
+TEST(AshaTest, DemotedTopRungsFallBackToBestHealthyRung) {
+  // Ladder 50 / 100 / 200 / 400 / 800. Every evaluation above budget 100
+  // fails, so rung 2 holds only demoted sentinels when the jobs run out.
+  // The incumbent must be the best healthy rung-1 entry, not a -inf
+  // sentinel from rung 2.
+  ConfigSpace space = QualitySpace(6);
+  FailAboveBudgetStrategy strategy(0.0, 100);
+  AshaOptions options;
+  options.max_jobs = 8;
+  options.min_budget = 50;
+  Asha asha(&space, &strategy, options);
+  Dataset data = BudgetDataset(800);
+  Rng rng(5);
+  HpoResult result = asha.Optimize(data, &rng).value();
+
+  bool demoted = false;
+  const EvaluationRecord* best_rung1 = nullptr;
+  for (const EvaluationRecord& rec : result.history) {
+    if (rec.eval_failed) demoted = true;
+    if (!rec.eval_failed && rec.budget == 100 &&
+        (best_rung1 == nullptr || rec.score > best_rung1->score)) {
+      best_rung1 = &rec;
+    }
+  }
+  ASSERT_TRUE(demoted);
+  ASSERT_NE(best_rung1, nullptr);
+  EXPECT_TRUE(std::isfinite(result.best_score));
+  EXPECT_EQ(result.best_score, best_rung1->score);
+  EXPECT_TRUE(result.best_config == best_rung1->config);
 }
 
 TEST(AshaTest, RejectsNullRng) {

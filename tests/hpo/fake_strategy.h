@@ -43,6 +43,24 @@ class FakeStrategy : public EvalStrategy {
   std::atomic<int> evaluations{0};  // Atomic: rungs may evaluate in parallel.
 };
 
+// A FakeStrategy whose evaluations above `max_ok_budget` fail demotably
+// (Internal); max_ok_budget = 0 fails every evaluation.
+class FailAboveBudgetStrategy : public FakeStrategy {
+ public:
+  FailAboveBudgetStrategy(double noise, size_t max_ok_budget)
+      : FakeStrategy(noise), max_ok_budget_(max_ok_budget) {}
+
+  Result<EvalResult> Evaluate(const Configuration& config,
+                              const Dataset& train, size_t budget,
+                              Rng* rng) override {
+    if (budget > max_ok_budget_) return Status::Internal("injected failure");
+    return FakeStrategy::Evaluate(config, train, budget, rng);
+  }
+
+ private:
+  size_t max_ok_budget_;
+};
+
 // A one-hyperparameter space whose configs have qualities 0.0 .. 0.1*(n-1).
 inline ConfigSpace QualitySpace(int n) {
   ConfigSpace space;

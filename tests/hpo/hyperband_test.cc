@@ -1,5 +1,7 @@
 #include "hpo/hyperband.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "tests/hpo/fake_strategy.h"
@@ -88,6 +90,41 @@ TEST(HyperbandTest, ObserverReceivesEveryEvaluation) {
   Rng rng(5);
   HpoResult result = hb.Optimize(data, &rng).value();
   EXPECT_EQ(sampler.seen, static_cast<int>(result.num_evaluations));
+}
+
+TEST(HyperbandTest, FailedFullBudgetFallsBackToHighestHealthyBudget) {
+  // Only the full-budget evaluations fail. The incumbent is the best entry
+  // at the highest budget that has a healthy one, the earliest on ties.
+  ConfigSpace space = QualitySpace(6);
+  const size_t n = 810;
+  FailAboveBudgetStrategy strategy(0.5, n - 1);
+  RandomConfigSampler sampler(&space);
+  Hyperband hb(&sampler, &strategy);
+  Dataset data = BudgetDataset(n);
+  Rng rng(6);
+  Result<HpoResult> run = hb.Optimize(data, &rng);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const HpoResult& result = run.value();
+
+  const EvaluationRecord* expected = nullptr;
+  size_t demoted = 0;
+  for (const EvaluationRecord& rec : result.history) {
+    if (rec.eval_failed) {
+      ++demoted;
+      continue;
+    }
+    if (expected == nullptr || rec.budget > expected->budget ||
+        (rec.budget == expected->budget && rec.score > expected->score)) {
+      expected = &rec;
+    }
+  }
+  ASSERT_GT(demoted, 0u);
+  EXPECT_EQ(result.faults.failed_evals, demoted);
+  ASSERT_NE(expected, nullptr);
+  EXPECT_LT(expected->budget, n);
+  EXPECT_TRUE(std::isfinite(result.best_score));
+  EXPECT_EQ(result.best_score, expected->score);
+  EXPECT_TRUE(result.best_config == expected->config);
 }
 
 TEST(HyperbandTest, RejectsNullRng) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "hpo/checkpoint.h"
 #include "hpo/eval_cache.h"
 #include "hpo/eval_strategy.h"
 #include "tests/hpo/fake_strategy.h"
@@ -246,6 +247,53 @@ TEST(ShaTest, CacheOnMatchesCacheOffBitExactly) {
           << threads << " threads, eval " << i;
     }
   }
+}
+
+// Runs a noisy 8-arm SHA, checkpointing every rung to `path` (none when
+// empty).
+HpoResult RunCheckpointedSha(const std::string& path,
+                             const CheckpointState* resume) {
+  ConfigSpace space = QualitySpace(8);
+  FakeStrategy strategy(0.5);
+  ShaOptions options;
+  options.checkpoint.path = path;
+  options.checkpoint.resume = resume;
+  SuccessiveHalving sha(space.EnumerateGrid(), &strategy, options);
+  Dataset data = BudgetDataset(800);
+  Rng rng(9);
+  return sha.Optimize(data, &rng).value();
+}
+
+TEST(ShaTest, ResumeFromFinalCheckpointRebuildsTheWinner) {
+  // The last checkpoint holds every rung: the resumed run evaluates
+  // nothing and must rebuild the incumbent from the restored history.
+  std::string path = ::testing::TempDir() + "/sha_final.ckpt";
+  HpoResult full = RunCheckpointedSha(path, nullptr);
+  CheckpointState state = LoadCheckpoint(path).value();
+  ASSERT_EQ(state.survivors.size(), 1u);
+  HpoResult resumed = RunCheckpointedSha("", &state);
+  EXPECT_TRUE(resumed.best_config == full.best_config);
+  EXPECT_EQ(resumed.best_score, full.best_score);
+  EXPECT_EQ(resumed.history.size(), full.history.size());
+  EXPECT_EQ(resumed.total_instances, full.total_instances);
+}
+
+TEST(ShaTest, ResumeRejectsHistoryThatDoesNotFitTheSchedule) {
+  std::string path = ::testing::TempDir() + "/sha_mismatch.ckpt";
+  RunCheckpointedSha(path, nullptr);
+  CheckpointState state = LoadCheckpoint(path).value();
+  state.history.pop_back();
+
+  ConfigSpace space = QualitySpace(8);
+  FakeStrategy strategy(0.5);
+  ShaOptions options;
+  options.checkpoint.resume = &state;
+  SuccessiveHalving sha(space.EnumerateGrid(), &strategy, options);
+  Dataset data = BudgetDataset(800);
+  Rng rng(9);
+  Result<HpoResult> resumed = sha.Optimize(data, &rng);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShaTest, RejectsNullRng) {
