@@ -1,5 +1,6 @@
 #include "cv/folds.h"
 
+#include <cstdint>
 #include <numeric>
 #include <set>
 
@@ -56,9 +57,12 @@ TEST(FoldSetTest, ComplementOfCoversEverythingElse) {
 }
 
 // Both builders must produce a partition of the subset. Parameterized over
-// k and subset size.
+// k and subset size. gtest prints this parameter as its raw bytes, and ctest
+// bakes that text into the test name, so the struct must have no padding: a
+// bool flag here would leave 7 uninitialized bytes that change the name from
+// one test discovery to the next.
 struct BuilderCase {
-  bool stratified;
+  std::uint64_t stratified;  // 0 = RandomKFold, 1 = StratifiedKFold
   size_t k;
   size_t subset_size;
 };
