@@ -1,28 +1,19 @@
-// Microbenchmark for the indexed-gather kernel and the column-blocked tree
-// layout. Two measurements:
-//
-//  1. Subset materialization (the rung-evaluation hot path): gather subsets
-//     of an `n x d` feature matrix at successive-halving rung sizes
-//     (n/27, n/9, n/3 and a 90% fold complement) through two index
-//     patterns — a sorted fold complement (contiguous blocks, the shape CV
-//     and rung promotion produce) and a shuffled bootstrap (no runs) —
-//     with the historical per-row scalar loop versus the run-coalescing +
-//     optional-AVX2 kernel. Small rungs are latency- and call-overhead-
-//     bound, where coalescing wins big; the 90% gather is DRAM-bandwidth-
-//     bound on most machines and reported for honesty, not headlines.
-//
-//  2. Split-scan layout (the tree-training hot path): DecisionTree::Fit on
-//     the same data with SplitLayout::kRowMajor (zero-copy strided reads
-//     through the view) versus SplitLayout::kColBlocked (gather-transpose
-//     into padded columns, then contiguous scans).
+// Microbenchmark for the indexed-gather kernel on the subset
+// materialization path of rung evaluation: gather subsets of an `n x d`
+// feature matrix at successive-halving rung sizes (n/27, n/9, n/3 and a
+// 90% fold complement) through two index patterns — a sorted fold
+// complement (contiguous blocks, the shape CV and rung promotion produce)
+// and a shuffled bootstrap (no runs) — with the historical per-row scalar
+// loop versus the run-coalescing + prefetching kernel. Small rungs are
+// latency- and call-overhead-bound, where coalescing wins big; the 90%
+// gather is DRAM-bandwidth-bound on most machines and reported for
+// honesty, not headlines.
 //
 // Emits machine-readable JSON:
 //   {"n":..,"d":..,
 //    "gather":[{"rows":..,"pattern":..,"scalar_ms":..,"kernel_ms":..,
 //               "speedup":..},..],
-//    "headline_speedup":..,
-//    "tree":{"row_major_ms":..,"col_blocked_ms":..,"speedup":..},
-//    "simd_compiled":..,"simd_active":..}
+//    "headline_speedup":..}
 // headline_speedup is the fold-complement gather at the smallest rung.
 // Every timed variant is checksummed against the scalar reference; any
 // divergence aborts the bench, so the numbers can only come from
@@ -41,7 +32,6 @@
 #include "common/gather.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
-#include "ml/decision_tree.h"
 
 namespace bhpo {
 namespace {
@@ -60,16 +50,6 @@ double TimeMs(int reps, double* sink, const Fn& fn) {
         std::chrono::duration<double, std::milli>(end - start).count());
   }
   return best;
-}
-
-// The pre-kernel Matrix::SelectRows / GatherFeatures body: one copy per
-// row, no run coalescing, no prefetch, no SIMD dispatch.
-void ScalarGather(const double* src, size_t cols, const size_t* indices,
-                  size_t count, double* dst) {
-  for (size_t i = 0; i < count; ++i) {
-    std::memcpy(dst + i * cols, src + indices[i] * cols,
-                cols * sizeof(double));
-  }
 }
 
 // Sorted subset with one contiguous span held out — the shape of both a CV
@@ -98,8 +78,6 @@ int Main(int argc, char** argv) {
   int n = flags.GetInt("n", 50000).value();
   int d = flags.GetInt("d", 50).value();
   int reps = flags.GetInt("reps", 30).value();
-  int tree_n = flags.GetInt("tree-n", 8000).value();
-  int tree_depth = flags.GetInt("tree-depth", 8).value();
   std::string out = flags.GetString("out", "BENCH_gather.json");
   Status unrecognized = flags.CheckUnrecognized();
   if (!unrecognized.ok()) {
@@ -138,12 +116,13 @@ int Main(int argc, char** argv) {
 
       std::vector<double> reference(rows * cols);
       std::vector<double> dst(reference.size());
-      ScalarGather(src, cols, indices.data(), indices.size(),
-                   reference.data());
+      internal::GatherRowsScalar(src, cols, cols, indices.data(),
+                                 indices.size(), reference.data());
 
       double scalar_ms = TimeMs(reps, &sink, [&] {
         for (int it = 0; it < iters; ++it) {
-          ScalarGather(src, cols, indices.data(), indices.size(), dst.data());
+          internal::GatherRowsScalar(src, cols, cols, indices.data(),
+                                     indices.size(), dst.data());
         }
         return dst[0];
       });
@@ -176,46 +155,12 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Split-scan layout comparison on a smaller set (tree fits are far more
-  // expensive per pass than raw gathers).
-  BlobsSpec tree_spec;
-  tree_spec.n = static_cast<size_t>(tree_n);
-  tree_spec.num_features = static_cast<size_t>(d);
-  tree_spec.num_classes = 4;
-  tree_spec.seed = 18;
-  Dataset tree_data = MakeBlobs(tree_spec).value();
-  int tree_reps = std::max(1, reps / 6);
+  std::fprintf(stderr, "(sink %.3f)\n", sink);
 
-  auto fit_tree = [&](SplitLayout layout) {
-    DecisionTreeConfig config;
-    config.max_depth = tree_depth;
-    config.layout = layout;
-    DecisionTree tree(config);
-    BHPO_CHECK(tree.Fit(tree_data).ok());
-    return static_cast<double>(tree.node_count());
-  };
-  double row_major_ms = TimeMs(tree_reps, &sink, [&] {
-    return fit_tree(SplitLayout::kRowMajor);
-  });
-  double col_blocked_ms = TimeMs(tree_reps, &sink, [&] {
-    return fit_tree(SplitLayout::kColBlocked);
-  });
-  double tree_speedup = row_major_ms / col_blocked_ms;
-  std::fprintf(stderr,
-               "tree fit (n=%d depth=%d) row-major %8.3f ms  "
-               "col-blocked %8.3f ms  %.2fx  (sink %.3f)\n",
-               tree_n, tree_depth, row_major_ms, col_blocked_ms, tree_speedup,
-               sink);
-
-  std::string json =
-      "{\"n\": " + std::to_string(n) + ", \"d\": " + std::to_string(d) +
-      ", \"gather\": [" + gather_json +
-      "], \"headline_speedup\": " + std::to_string(headline) +
-      ", \"tree\": {\"row_major_ms\": " + std::to_string(row_major_ms) +
-      ", \"col_blocked_ms\": " + std::to_string(col_blocked_ms) +
-      ", \"speedup\": " + std::to_string(tree_speedup) +
-      "}, \"simd_compiled\": " + (GatherSimdCompiled() ? "true" : "false") +
-      ", \"simd_active\": " + (GatherSimdActive() ? "true" : "false") + "}";
+  std::string json = "{\"n\": " + std::to_string(n) +
+                     ", \"d\": " + std::to_string(d) + ", \"gather\": [" +
+                     gather_json + "], \"headline_speedup\": " +
+                     std::to_string(headline) + "}";
   std::printf("%s\n", json.c_str());
 
   std::FILE* file = std::fopen(out.c_str(), "w");

@@ -7,8 +7,9 @@
 #   2. tier-1           Release build + full ctest
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
-#   4. ASan+UBSan       cache + thread-pool + gather/layout suites, every
-#                       optimizer (suites + goldens) and the FaultSmoke runs
+#   4. ASan+UBSan       cache + thread-pool + gather/tree-golden suites, the
+#                       MLP goldens, every optimizer (suites + goldens), the
+#                       CSV/LibSVM loader suite and the FaultSmoke runs
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites and
 #                       the contended stress test under -fsanitize=thread
 #   6. faults           (--faults) the fault-tolerance suites plus the
@@ -65,7 +66,7 @@ if [[ "$run_tidy" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== ASan+UBSan: cache + thread-pool + gather/layout + optimizer suites =="
+  echo "== ASan+UBSan: cache + thread-pool + gather/tree + optimizer + loader suites =="
   cmake --preset asan >/dev/null
   cmake --build build-asan -j"$jobs" \
     --target bhpo_hpo_test bhpo_common_test bhpo_data_test bhpo_ml_test \
@@ -79,15 +80,16 @@ if [[ "$run_asan" == 1 ]]; then
     --gtest_filter='Sha*:Hyperband*:Bohb*:Dehb*:Asha*:Pasha*:Smac*:Tpe*:OptimizerGolden*:RunLedger*:AllOptimizers/*'
   ./build-asan/tests/bhpo_fault_test --gtest_filter='FaultSmoke*'
   ./build-asan/tests/bhpo_common_test --gtest_filter='*ThreadPool*'
-  # Gather kernel + blocked layout under ASan, both dispatch variants: the
-  # edge-width/misalignment suite flips the runtime toggle itself, and the
-  # second run pins the portable path via the env kill switch.
+  # Gather kernel (against the scalar reference and the naive loop, on
+  # edge widths and misaligned rows) + column-blocked trees under ASan.
   ./build-asan/tests/bhpo_common_test \
     --gtest_filter='Gather*:ColBlockMatrix*:MatrixSelectRowsGather*'
-  BHPO_SIMD=off ./build-asan/tests/bhpo_common_test \
-    --gtest_filter='Gather*:ColBlockMatrix*:MatrixSelectRowsGather*'
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
-  ./build-asan/tests/bhpo_ml_test --gtest_filter='TreeLayoutBitExact*'
+  ./build-asan/tests/bhpo_ml_test \
+    --gtest_filter='TreeLayoutBitExact*:AllCells/MlpGolden*'
+  # The CSV and LibSVM loaders parse untrusted bytes: every reject path
+  # runs under the sanitizers too.
+  ./build-asan/tests/bhpo_data_test --gtest_filter='IoTest*'
   ./build-asan/tests/bhpo_stress_test
 else
   echo "== ASan pass skipped =="

@@ -22,8 +22,7 @@ ColBlockMatrix ColBlockMatrix::FromRowMajor(const double* src,
   ColBlockMatrix out;
   out.rows_ = count;
   out.cols_ = cols;
-  out.col_stride_ = (count + kColumnPad - 1) / kColumnPad * kColumnPad;
-  out.data_.assign(out.col_stride_ * cols, 0.0);
+  out.data_.resize(count * cols);
   if (count == 0 || cols == 0) return out;
 
   double* dst = out.data_.data();
@@ -34,7 +33,7 @@ ColBlockMatrix ColBlockMatrix::FromRowMajor(const double* src,
       for (size_t r = r0; r < r1; ++r) {
         const double* s = src + (indices ? indices[r] : r) * src_stride;
         for (size_t f = f0; f < f1; ++f) {
-          dst[f * out.col_stride_ + r] = s[f];
+          dst[f * count + r] = s[f];
         }
       }
     }

@@ -11,26 +11,22 @@ namespace bhpo {
 class Matrix;
 
 // Column-blocked (feature-major) mirror of a set of rows from a row-major
-// matrix: column f of the source lives at Column(f) as one contiguous,
-// zero-padded array of `col_stride()` doubles. Tree training scans this
-// instead of striding rows — a split search touches one feature at a time
-// across all rows, which in row-major order costs a cache line per element;
-// here it streams a single column.
+// matrix: column f of the source lives at Column(f) as one contiguous
+// array of rows() doubles. Tree training scans this instead of striding
+// rows — a split search touches one feature at a time across all rows,
+// which in row-major order costs a cache line per element; here it streams
+// a single column.
 //
-// "Blocked" refers to both layout and construction: columns are padded to a
-// multiple of kColumnPad doubles (so vectorized consumers can run aligned
-// full-width tails), and the gather-transpose that builds the structure
-// walks the source in row panels x column blocks so the panel stays cache
-// resident while kColBlock destination columns advance together.
+// "Blocked" refers to construction: the gather-transpose that builds the
+// structure walks the source in row panels x column blocks so the panel
+// stays cache resident while kColBlock destination columns advance
+// together.
 //
 // The copy is pure byte movement — values are the same doubles as the
 // source, so any consumer reading Column(f)[i] is bit-identical to reading
 // source(indices[i], f).
 class ColBlockMatrix {
  public:
-  // Column length rounds up to this many doubles; the pad is zero-filled.
-  static constexpr size_t kColumnPad = 4;
-
   ColBlockMatrix() = default;
 
   // Gather-transpose rows `indices[0..count)` of a row-major source
@@ -46,15 +42,12 @@ class ColBlockMatrix {
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
-  // Doubles between consecutive columns (rows() rounded up to kColumnPad).
-  size_t col_stride() const { return col_stride_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  // Contiguous column f: entries 0..rows()-1, then zero padding up to
-  // col_stride().
+  // Contiguous column f: entries 0..rows()-1.
   const double* Column(size_t f) const {
     BHPO_CHECK_LT(f, cols_);
-    return data_.data() + f * col_stride_;
+    return data_.data() + f * rows_;
   }
 
   double at(size_t r, size_t f) const {
@@ -65,7 +58,6 @@ class ColBlockMatrix {
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  size_t col_stride_ = 0;
   std::vector<double> data_;
 };
 

@@ -13,11 +13,12 @@ namespace bhpo {
 // initializer runs it before main at an unspecified point in static-init
 // order. Every env read in the library goes through these helpers and is
 // made at *first use* behind a function-local static in the caller, never
-// from a namespace-scope initializer — see SimdEnabledFlag() in
-// common/gather.cc and MinLevel() in common/logging.cc for the pattern.
-// The repo itself never calls setenv after startup; test harnesses that
-// vary the environment (the BHPO_SIMD ctest variants) do so by launching
-// the process with a different environment, not by mutating it in-flight.
+// from a namespace-scope initializer — see MinLevel() in
+// common/logging.cc for the pattern. The repo itself never calls setenv
+// after startup; test harnesses that vary the environment (the
+// bhpo_faults_smoke ctest variant, which sets BHPO_FAULT) do so by
+// launching the process with a different environment, not by mutating it
+// in-flight.
 
 // Returns the variable's value, or nullopt when unset.
 std::optional<std::string> GetEnv(const char* name);

@@ -1,69 +1,19 @@
 #include "common/gather.h"
 
-#include <atomic>
 #include <cstring>
 
-#include "common/env.h"
-
 namespace bhpo {
-namespace {
-
-bool SimdSupported() {
-#if defined(BHPO_HAVE_AVX2)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-// Env-var kill switch: BHPO_SIMD=0|off|false|no disables the AVX2 path
-// even in SIMD builds. This is how ctest registers a portable variant of
-// every gather test against the same binary. The flag is a function-local
-// static so the env read happens thread-safely at first use instead of in
-// a namespace-scope initializer during static init (std::getenv there
-// runs at an unspecified point before main).
-std::atomic<bool>& SimdEnabledFlag() {
-  static std::atomic<bool> flag{SimdSupported() &&
-                                GetEnvBool("BHPO_SIMD", true)};
-  return flag;
-}
-
-}  // namespace
-
-bool GatherSimdCompiled() {
-#if defined(BHPO_HAVE_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool GatherSimdActive() {
-  return SimdEnabledFlag().load(std::memory_order_relaxed);
-}
-
-bool SetGatherSimdEnabled(bool enabled) {
-  bool requested = enabled && SimdSupported();
-  return SimdEnabledFlag().exchange(requested, std::memory_order_relaxed);
-}
-
 namespace internal {
 
 void GatherRowsScalar(const double* src, size_t src_stride, size_t cols,
                       const size_t* indices, size_t count, double* dst) {
+  // Zero-width rows may come with null buffers, which memcpy must not see.
+  if (cols == 0) return;
   for (size_t i = 0; i < count; ++i) {
     std::memcpy(dst + i * cols, src + indices[i] * src_stride,
                 cols * sizeof(double));
   }
 }
-
-#if !defined(BHPO_HAVE_AVX2)
-void CopyRowAvx2(const double*, double*, size_t) {
-  // Never reached: GatherRows only dispatches here when the AVX2 TU is
-  // compiled in, in which case gather_avx2.cc provides the real definition.
-  std::abort();
-}
-#endif
 
 }  // namespace internal
 
@@ -74,7 +24,6 @@ void GatherRows(const double* src, size_t src_stride, size_t cols,
   // source is packed (stride == cols), which holds for every Matrix today;
   // a padded source falls back to row-at-a-time copies.
   const bool coalesce = src_stride == cols;
-  const bool avx2 = GatherSimdActive();
   // Scattered rows are latency-bound, not bandwidth-bound: each row start
   // is a demand miss the hardware prefetcher cannot predict, because the
   // next source address lives in the index array. The driver knows it, so
@@ -106,14 +55,7 @@ void GatherRows(const double* src, size_t src_stride, size_t cols,
       std::memcpy(d, s, run * cols * sizeof(double));
     } else {
       if (i + kPrefetchAhead < count) prefetch_row(i + kPrefetchAhead);
-      // The inline AVX2 copy beats glibc memcpy at narrow rows, where
-      // memcpy's size dispatch is a real fraction of the work; at wider
-      // rows glibc's tuned bulk path wins, so hand off to it.
-      if (avx2 && cols < 32) {
-        internal::CopyRowAvx2(s, d, cols);
-      } else {
-        std::memcpy(d, s, cols * sizeof(double));
-      }
+      std::memcpy(d, s, row_bytes);
     }
     i += run;
   }

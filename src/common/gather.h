@@ -13,44 +13,17 @@ namespace bhpo {
 //
 //   dst[i * cols + j] = src[indices[i] * src_stride + j]
 //
-// into a packed row-major destination. Two optimizations over the naive
-// per-row loop, both bit-exact (the kernel only moves bytes, it never
-// computes):
-//
-//  1. Contiguous-run coalescing. Rung subsets and fold complements are
-//     sorted index lists, so long stretches satisfy
-//     indices[i+1] == indices[i] + 1; when src_stride == cols those source
-//     rows are adjacent in memory and a whole run collapses into one large
-//     memcpy instead of one call per row.
-//  2. An AVX2 single-row copy for the rows between runs, compiled only
-//     when the CMake gate BHPO_ENABLE_SIMD is on and dispatched at runtime
-//     on CPU support (so a portable build and a SIMD build of the same
-//     sources always exist side by side).
+// into a packed row-major destination. The kernel only moves bytes, it
+// never computes, so it is bit-exact by construction. Rung subsets and
+// fold complements are sorted index lists, so long stretches satisfy
+// indices[i+1] == indices[i] + 1; when src_stride == cols those source
+// rows are adjacent in memory and a whole run collapses into one large
+// memcpy. Every other row is one memcpy, prefetched a few rows ahead.
 //
 // `indices` may repeat (bootstrap resampling) and must all be < the number
 // of source rows; src and dst must not overlap.
 void GatherRows(const double* src, size_t src_stride, size_t cols,
                 const size_t* indices, size_t count, double* dst);
-
-// --- Feature gate -----------------------------------------------------------
-//
-// Three layers, strongest first:
-//   * compile time: CMake option BHPO_ENABLE_SIMD (default ON on x86-64)
-//     compiles the AVX2 translation unit at all;
-//   * process start: the BHPO_SIMD environment variable ("0"/"off" disables)
-//     and a runtime CPUID check seed the initial setting;
-//   * runtime: SetGatherSimdEnabled() flips the dispatch on the fly, which
-//     is how tests and benches compare both variants inside one binary.
-
-// True when this binary was compiled with the AVX2 path at all.
-bool GatherSimdCompiled();
-// True when GatherRows will actually take the AVX2 path right now
-// (compiled in, supported by the CPU, and not disabled).
-bool GatherSimdActive();
-// Runtime override. Enabling is a no-op when the path is not compiled in or
-// the CPU lacks AVX2. Returns the previous setting so scoped flips can
-// restore it.
-bool SetGatherSimdEnabled(bool enabled);
 
 namespace internal {
 
@@ -59,9 +32,6 @@ namespace internal {
 // baseline.
 void GatherRowsScalar(const double* src, size_t src_stride, size_t cols,
                       const size_t* indices, size_t count, double* dst);
-
-// Single-row AVX2 copy (gather_avx2.cc, only built under the CMake gate).
-void CopyRowAvx2(const double* src, double* dst, size_t cols);
 
 }  // namespace internal
 

@@ -39,42 +39,20 @@ struct SplitCandidate {
   double score = std::numeric_limits<double>::infinity();  // Lower = better.
 };
 
-// Feature-access policies for BuildNodeImpl. Both expose the same training
-// rows; they differ in where the doubles live. The builder's decisions are
-// pure comparisons over those doubles in a fixed iteration order, so the
-// two policies grow bit-identical trees (tree_layout_bitexact_test.cc).
-
-// Indices are parent-matrix row ids; feature reads stride across rows.
-struct RowMajorAccess {
-  static constexpr bool kColumnar = false;
-  const Dataset* data;
-  size_t num_features() const { return data->num_features(); }
-  double Feature(size_t i, size_t f) const { return data->features()(i, f); }
-  const double* Column(size_t) const { return nullptr; }
-  int Label(size_t i) const { return data->label(i); }
-  double Target(size_t i) const { return data->target(i); }
-};
-
-// Indices are local row ids 0..n-1 over gathered training rows; feature
-// reads walk one contiguous column at a time.
-struct ColBlockAccess {
-  static constexpr bool kColumnar = true;
-  const ColBlockMatrix* features;
-  const std::vector<int>* labels;      // Classification only.
-  const std::vector<double>* targets;  // Regression only.
-  size_t num_features() const { return features->cols(); }
-  double Feature(size_t i, size_t f) const { return features->Column(f)[i]; }
-  const double* Column(size_t f) const { return features->Column(f); }
-  int Label(size_t i) const { return (*labels)[i]; }
-  double Target(size_t i) const { return (*targets)[i]; }
-};
-
 }  // namespace
 
-template <typename Access>
-int DecisionTree::BuildNodeImpl(const Access& access,
-                                std::vector<size_t>* indices, size_t begin,
-                                size_t end, int depth, Rng* rng) {
+// The training rows, gathered once per fit: feature columns, plus the
+// labels (classification) or targets (regression) in the same local row
+// order 0..n-1.
+struct DecisionTree::TrainingRows {
+  ColBlockMatrix features;
+  std::vector<int> labels;
+  std::vector<double> targets;
+};
+
+int DecisionTree::BuildNode(const TrainingRows& train,
+                            std::vector<size_t>* indices, size_t begin,
+                            size_t end, int depth, Rng* rng) {
   size_t n = end - begin;
   BHPO_CHECK_GT(n, 0u);
   depth_ = std::max(depth_, depth);
@@ -87,18 +65,18 @@ int DecisionTree::BuildNodeImpl(const Access& access,
   bool pure = true;
   if (task_ == Task::kClassification) {
     leaf_value.assign(num_classes_, 0.0);
-    int first = access.Label((*indices)[begin]);
+    int first = train.labels[(*indices)[begin]];
     for (size_t i = begin; i < end; ++i) {
-      int y = access.Label((*indices)[i]);
+      int y = train.labels[(*indices)[i]];
       leaf_value[y] += 1.0;
       pure &= y == first;
     }
     for (double& v : leaf_value) v /= static_cast<double>(n);
   } else {
     double mean = 0.0;
-    double first = access.Target((*indices)[begin]);
+    double first = train.targets[(*indices)[begin]];
     for (size_t i = begin; i < end; ++i) {
-      double y = access.Target((*indices)[i]);
+      double y = train.targets[(*indices)[i]];
       mean += y;
       pure &= y == first;
     }
@@ -114,7 +92,7 @@ int DecisionTree::BuildNodeImpl(const Access& access,
   }
 
   // Candidate features: all, or a random subset of max_features.
-  size_t num_features = access.num_features();
+  size_t num_features = train.features.cols();
   std::vector<size_t> features(num_features);
   std::iota(features.begin(), features.end(), 0);
   if (config_.max_features > 0 &&
@@ -130,33 +108,22 @@ int DecisionTree::BuildNodeImpl(const Access& access,
   size_t min_leaf = static_cast<size_t>(config_.min_samples_leaf);
 
   for (size_t f : features) {
-    // Columnar layouts hoist the feature's base pointer out of the sort
-    // comparator and the scan; the row-major baseline reads through the
-    // (r, c) accessor exactly as before.
-    [[maybe_unused]] const double* col = nullptr;
-    if constexpr (Access::kColumnar) col = access.Column(f);
-    auto feat = [&](size_t idx) {
-      if constexpr (Access::kColumnar) {
-        return col[idx];
-      } else {
-        return access.Feature(idx, f);
-      }
-    };
+    const double* col = train.features.Column(f);
     std::sort(scratch.begin(), scratch.end(),
-              [&](size_t a, size_t b) { return feat(a) < feat(b); });
+              [col](size_t a, size_t b) { return col[a] < col[b]; });
 
     if (task_ == Task::kClassification) {
       std::vector<double> left_counts(num_classes_, 0.0);
       std::vector<double> right_counts(num_classes_, 0.0);
       for (size_t i = 0; i < n; ++i) {
-        right_counts[access.Label(scratch[i])] += 1.0;
+        right_counts[train.labels[scratch[i]]] += 1.0;
       }
       for (size_t i = 0; i + 1 < n; ++i) {
-        int y = access.Label(scratch[i]);
+        int y = train.labels[scratch[i]];
         left_counts[y] += 1.0;
         right_counts[y] -= 1.0;
-        double lo = feat(scratch[i]);
-        double hi = feat(scratch[i + 1]);
+        double lo = col[scratch[i]];
+        double hi = col[scratch[i + 1]];
         if (lo == hi) continue;  // No valid threshold between equal values.
         size_t n_left = i + 1, n_right = n - n_left;
         if (n_left < min_leaf || n_right < min_leaf) continue;
@@ -170,19 +137,19 @@ int DecisionTree::BuildNodeImpl(const Access& access,
     } else {
       double right_sum = 0.0, right_sq = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        double y = access.Target(scratch[i]);
+        double y = train.targets[scratch[i]];
         right_sum += y;
         right_sq += y * y;
       }
       double left_sum = 0.0, left_sq = 0.0;
       for (size_t i = 0; i + 1 < n; ++i) {
-        double y = access.Target(scratch[i]);
+        double y = train.targets[scratch[i]];
         left_sum += y;
         left_sq += y * y;
         right_sum -= y;
         right_sq -= y * y;
-        double lo = feat(scratch[i]);
-        double hi = feat(scratch[i + 1]);
+        double lo = col[scratch[i]];
+        double hi = col[scratch[i + 1]];
         if (lo == hi) continue;
         size_t n_left = i + 1, n_right = n - n_left;
         if (n_left < min_leaf || n_right < min_leaf) continue;
@@ -203,25 +170,17 @@ int DecisionTree::BuildNodeImpl(const Access& access,
   }
 
   // Partition [begin, end) by the chosen split.
-  [[maybe_unused]] const double* best_col = nullptr;
-  if constexpr (Access::kColumnar) best_col = access.Column(best.feature);
+  const double* best_col = train.features.Column(best.feature);
   auto middle = std::stable_partition(
-      indices->begin() + begin, indices->begin() + end, [&](size_t idx) {
-        if constexpr (Access::kColumnar) {
-          return best_col[idx] <= best.threshold;
-        } else {
-          return access.Feature(idx, best.feature) <= best.threshold;
-        }
-      });
+      indices->begin() + begin, indices->begin() + end,
+      [&](size_t idx) { return best_col[idx] <= best.threshold; });
   size_t split_point = static_cast<size_t>(middle - indices->begin());
   BHPO_CHECK(split_point > begin && split_point < end);
 
   nodes_[node_id].feature = best.feature;
   nodes_[node_id].threshold = best.threshold;
-  int left =
-      BuildNodeImpl(access, indices, begin, split_point, depth + 1, rng);
-  int right =
-      BuildNodeImpl(access, indices, split_point, end, depth + 1, rng);
+  int left = BuildNode(train, indices, begin, split_point, depth + 1, rng);
+  int right = BuildNode(train, indices, split_point, end, depth + 1, rng);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;
@@ -239,32 +198,18 @@ Status DecisionTree::Fit(const DatasetView& train) {
   Rng rng(config_.seed);
   size_t n = train.n();
 
-  if (config_.layout == SplitLayout::kRowMajor) {
-    // Zero-copy baseline: build over the view's parent indices and read
-    // rows from the parent matrix in place; split search only ever
-    // compares feature values, so the result is identical to fitting a
-    // materialized copy.
-    std::vector<size_t> indices(n);
-    for (size_t i = 0; i < n; ++i) indices[i] = train.parent_index(i);
-    RowMajorAccess access{&train.parent()};
-    BuildNodeImpl(access, &indices, 0, n, 0, &rng);
+  // Gather-transpose the training rows once, so every split scan streams
+  // contiguous columns; labels/targets are gathered alongside, so all
+  // builder reads are local-id indexed.
+  TrainingRows rows{train.GatherFeatureColumns(), {}, {}};
+  if (task_ == Task::kClassification) {
+    rows.labels = train.GatherLabels();
   } else {
-    // Column-blocked path: gather-transpose the training rows once, then
-    // every split scan streams contiguous columns. Labels/targets are
-    // gathered alongside so all builder reads are local-id indexed.
-    ColBlockMatrix columns = train.GatherFeatureColumns();
-    std::vector<int> labels;
-    std::vector<double> targets;
-    if (task_ == Task::kClassification) {
-      labels = train.GatherLabels();
-    } else {
-      targets = train.GatherTargets();
-    }
-    std::vector<size_t> indices(n);
-    std::iota(indices.begin(), indices.end(), 0);
-    ColBlockAccess access{&columns, &labels, &targets};
-    BuildNodeImpl(access, &indices, 0, n, 0, &rng);
+    rows.targets = train.GatherTargets();
   }
+  std::vector<size_t> indices(n);
+  std::iota(indices.begin(), indices.end(), 0);
+  BuildNode(rows, &indices, 0, n, 0, &rng);
   fitted_ = true;
   return Status::OK();
 }

@@ -12,23 +12,6 @@
 
 namespace bhpo {
 
-// Feature storage the split search scans during training. Both layouts
-// produce bit-identical trees (same comparisons over the same doubles, in
-// the same order — locked down by tests/ml/tree_layout_bitexact_test.cc);
-// they differ only in memory traffic.
-enum class SplitLayout {
-  // Gather-transpose the training rows into a ColBlockMatrix once per fit,
-  // then scan contiguous per-feature columns. The default: split search is
-  // O(depth * n * features) passes over the data, so paying one O(n * d)
-  // transpose to make every pass stream instead of stride wins everywhere
-  // past trivial sizes.
-  kColBlocked,
-  // Historical zero-copy path: read feature values straight out of the
-  // parent row-major matrix (cache line per element during scans). Kept as
-  // the baseline the bit-exactness suite compares against.
-  kRowMajor,
-};
-
 // CART decision tree (gini impurity for classification, variance reduction
 // for regression). A second model family behind the Model interface: the
 // HPO layer is model-agnostic, and trees exercise a very different
@@ -43,7 +26,6 @@ struct DecisionTreeConfig {
   // drawn per split when positive — the random-forest setting).
   int max_features = 0;
   uint64_t seed = 0;
-  SplitLayout layout = SplitLayout::kColBlocked;
 
   Status Validate() const;
 };
@@ -57,7 +39,8 @@ class DecisionTree : public Model {
   using Model::PredictLabels;
   using Model::PredictValues;
 
-  // Trains over the view's index table directly; no feature row is copied.
+  // Gathers the view's rows into contiguous feature columns once, then
+  // grows the tree over them.
   Status Fit(const DatasetView& train) override;
   std::vector<int> PredictLabels(const Matrix& features) const override;
   std::vector<double> PredictValues(const Matrix& features) const override;
@@ -90,13 +73,13 @@ class DecisionTree : public Model {
     std::vector<double> value;
   };
 
-  // Recursive builder, templated on the feature-access policy (row-major
-  // over the parent matrix, or column-blocked over gathered training rows;
-  // both defined in decision_tree.cc). `indices` entries live in the access
-  // policy's row space.
-  template <typename Access>
-  int BuildNodeImpl(const Access& access, std::vector<size_t>* indices,
-                    size_t begin, size_t end, int depth, Rng* rng);
+  // Gathered training rows (defined in decision_tree.cc).
+  struct TrainingRows;
+
+  // Recursive builder over the rows indices[begin, end), which are local
+  // row ids into `train`.
+  int BuildNode(const TrainingRows& train, std::vector<size_t>* indices,
+                size_t begin, size_t end, int depth, Rng* rng);
   const Node& Descend(const double* row) const;
 
   DecisionTreeConfig config_;

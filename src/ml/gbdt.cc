@@ -48,7 +48,6 @@ Result<std::unique_ptr<DecisionTree>> FitResidualTree(
   tree_config.max_depth = config.max_depth;
   tree_config.min_samples_leaf = config.min_samples_leaf;
   tree_config.seed = seed;
-  tree_config.layout = config.layout;
   auto tree = std::make_unique<DecisionTree>(tree_config);
   BHPO_RETURN_NOT_OK(tree->Fit(stage_data));
   return tree;

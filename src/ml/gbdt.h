@@ -25,9 +25,6 @@ struct GbdtConfig {
   // Fraction of rows used per round; 1.0 = all (plain gradient boosting).
   double subsample = 1.0;
   uint64_t seed = 0;
-  // Feature layout the stage trees scan during training (bit-identical
-  // either way; see SplitLayout).
-  SplitLayout layout = SplitLayout::kColBlocked;
 
   Status Validate() const;
 };

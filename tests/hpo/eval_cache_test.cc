@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
-#include "common/gather.h"
 #include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "hpo/bohb.h"
@@ -336,64 +335,6 @@ TEST(FoldCacheTest, CacheOffAndOnProduceIdenticalResults) {
   EXPECT_EQ(off.cv.mean, on.cv.mean);
   EXPECT_EQ(off.cv.stddev, on.cv.stddev);
   EXPECT_EQ(off.budget_used, on.budget_used);
-}
-
-// A cache hit must be bit-identical no matter which gather variant the
-// *producer* evaluation ran under: an entry written by the vectorized
-// (AVX2 + run-coalescing) gather and replayed into a scalar-gather process
-// (or vice versa) must equal a from-scratch scalar evaluation exactly.
-// This is the contract that lets SIMD and portable builds share replayed
-// results.
-TEST(FoldCacheTest, HitsAreBitIdenticalAcrossGatherVariants) {
-  BlobsSpec spec;
-  spec.n = 80;
-  spec.num_features = 4;
-  spec.num_classes = 2;
-  spec.seed = 8;
-  Dataset data = MakeBlobs(spec).value().Standardized();
-
-  Configuration config;
-  config.Set("hidden_layer_sizes", "(4)");
-  config.Set("learning_rate_init", "0.01");
-
-  EvalCache cache;
-  StrategyOptions cached_options;
-  cached_options.factory.max_iter = 5;
-  cached_options.cache = &cache;
-  VanillaStrategy cached(cached_options);
-  StrategyOptions plain_options;
-  plain_options.factory.max_iter = 5;
-  VanillaStrategy plain(plain_options);
-
-  uint64_t root = 55;
-  bool previous = SetGatherSimdEnabled(true);
-
-  // Producer: vectorized gather fills the cache (when SIMD is compiled in;
-  // otherwise this is a scalar-vs-scalar run and still must hold).
-  Rng produce = PerEvalRng(root, config, 40, data.n());
-  EvalResult cold = cached.Evaluate(config, data, 40, &produce).value();
-  EXPECT_EQ(cold.cache_fold_hits, 0u);
-
-  // Consumer: scalar gather replays every fold from the cache...
-  SetGatherSimdEnabled(false);
-  Rng replay = PerEvalRng(root, config, 40, data.n());
-  EvalResult warm = cached.Evaluate(config, data, 40, &replay).value();
-  EXPECT_EQ(warm.cache_fold_misses, 0u);
-  // ...and an uncached scalar evaluation recomputes from scratch.
-  Rng scratch = PerEvalRng(root, config, 40, data.n());
-  EvalResult recomputed = plain.Evaluate(config, data, 40, &scratch).value();
-
-  SetGatherSimdEnabled(previous);
-
-  EXPECT_EQ(warm.score, cold.score);
-  EXPECT_EQ(warm.score, recomputed.score);
-  EXPECT_EQ(warm.cv.mean, recomputed.cv.mean);
-  EXPECT_EQ(warm.cv.stddev, recomputed.cv.stddev);
-  ASSERT_EQ(warm.cv.fold_scores.size(), recomputed.cv.fold_scores.size());
-  for (size_t f = 0; f < warm.cv.fold_scores.size(); ++f) {
-    EXPECT_EQ(warm.cv.fold_scores[f], recomputed.cv.fold_scores[f])
-        << "fold " << f;
-  }
 }
 
 // ---------------------------------------------------------------------------
