@@ -1,5 +1,6 @@
 #include "data/csv_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -59,6 +60,11 @@ Result<Dataset> LoadCsv(const std::string& path, const CsvOptions& options) {
     for (size_t c = 0; c < num_cols; ++c) {
       if (c == label_col) continue;
       BHPO_ASSIGN_OR_RETURN(double v, ParseDouble(fields[c]));
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("non-finite feature value '" +
+                                       fields[c] + "' at line " +
+                                       std::to_string(line_no));
+      }
       feature_row.push_back(v);
     }
     rows.push_back(std::move(feature_row));
@@ -71,6 +77,11 @@ Result<Dataset> LoadCsv(const std::string& path, const CsvOptions& options) {
       (void)inserted;
     } else {
       BHPO_ASSIGN_OR_RETURN(double v, ParseDouble(fields[label_col]));
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("non-finite target '" +
+                                       fields[label_col] + "' at line " +
+                                       std::to_string(line_no));
+      }
       targets.push_back(v);
     }
   }

@@ -156,5 +156,82 @@ TEST_F(IoTest, LibsvmRegressionKeepsRealLabels) {
   EXPECT_DOUBLE_EQ(d.target(1), -0.5);
 }
 
+// Asserts that loading fails with InvalidArgument naming `line`.
+void ExpectRejectedAtLine(const Result<Dataset>& result, int line) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("line " + std::to_string(line)),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST_F(IoTest, LibsvmRejectsFractionalClassLabels) {
+  // 0.6 and 1.4 would both round to class 1 and merge silently.
+  std::string path = TempPath("fractional.svm");
+  WriteFile(path, "0 1:1\n0.6 1:2\n1.4 1:3\n");
+  ExpectRejectedAtLine(LoadLibsvm(path), 2);
+}
+
+TEST_F(IoTest, LibsvmRejectsNonFiniteAndOutOfRangeClassLabels) {
+  for (const char* label : {"nan", "inf", "-inf", "1e300", "9.3e18"}) {
+    std::string path = TempPath("label.svm");
+    WriteFile(path, std::string("1 1:1\n") + label + " 1:2\n");
+    ExpectRejectedAtLine(LoadLibsvm(path), 2);
+  }
+}
+
+TEST_F(IoTest, LibsvmRejectsNonFiniteRegressionTargets) {
+  LibsvmOptions opts;
+  opts.task = Task::kRegression;
+  for (const char* target : {"nan", "inf", "-inf"}) {
+    std::string path = TempPath("target.svm");
+    WriteFile(path, std::string("2.5 1:1\n") + target + " 1:2\n");
+    ExpectRejectedAtLine(LoadLibsvm(path, opts), 2);
+  }
+}
+
+TEST_F(IoTest, LibsvmRejectsRepeatedFeatureIndex) {
+  std::string path = TempPath("repeated.svm");
+  WriteFile(path, "0 1:1 2:2\n1 1:5 2:1 1:7\n");
+  ExpectRejectedAtLine(LoadLibsvm(path), 2);
+}
+
+TEST_F(IoTest, LibsvmRejectsNonFiniteFeatureValues) {
+  for (const char* value : {"nan", "inf", "-inf", "1e400"}) {
+    std::string path = TempPath("value.svm");
+    WriteFile(path, std::string("0 1:1\n1 1:") + value + "\n");
+    ExpectRejectedAtLine(LoadLibsvm(path), 2);
+  }
+}
+
+TEST_F(IoTest, CsvRejectsNonFiniteFeatureValues) {
+  for (const char* value : {"nan", "inf", "-inf", "1e400"}) {
+    std::string path = TempPath("value.csv");
+    WriteFile(path, std::string("a,b,y\n1,2,0\n1,") + value + ",1\n");
+    ExpectRejectedAtLine(LoadCsv(path, {}), 3);
+  }
+}
+
+TEST_F(IoTest, CsvRejectsNonFiniteRegressionTargets) {
+  CsvOptions opts;
+  opts.task = Task::kRegression;
+  for (const char* target : {"nan", "inf"}) {
+    std::string path = TempPath("target.csv");
+    WriteFile(path, std::string("a,y\n1,2.5\n2,") + target + "\n");
+    ExpectRejectedAtLine(LoadCsv(path, opts), 3);
+  }
+}
+
+TEST_F(IoTest, LibsvmAcceptsWholeNumberClassLabelsWrittenAsReals) {
+  std::string path = TempPath("whole.svm");
+  WriteFile(path, "-1.0 1:1\n1e0 1:2\n-1 1:3\n");
+  Dataset d = LoadLibsvm(path).value();
+  EXPECT_EQ(d.num_classes(), 2);
+  EXPECT_EQ(d.label(0), 0);
+  EXPECT_EQ(d.label(1), 1);
+  EXPECT_EQ(d.label(2), 0);
+}
+
 }  // namespace
 }  // namespace bhpo
