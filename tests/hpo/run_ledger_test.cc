@@ -2,6 +2,7 @@
 // the one outcome every optimizer reports when all its evaluations fail.
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,10 @@ struct OptimizerCase {
       const ConfigSpace*, ConfigSampler*, EvalStrategy*)>
       make;
 };
+
+// gtest prints the parameter into every ctest name. Print the optimizer's
+// name: the raw bytes hold pointers, which change from run to run.
+void PrintTo(const OptimizerCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<OptimizerCase> AllOptimizers() {
   return {
