@@ -9,7 +9,9 @@
 #                       (skipped with a note when clang-tidy is not installed)
 #   4. ASan+UBSan       cache + thread-pool + gather/tree-golden suites, the
 #                       MLP goldens, every optimizer (suites + goldens), the
-#                       CSV/LibSVM loader suite and the FaultSmoke runs
+#                       CSV/LibSVM loader suite, fold construction and
+#                       grouping (GenFolds, BuildGrouping, the k-fold
+#                       builders) and the FaultSmoke runs
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites and
 #                       the contended stress test under -fsanitize=thread
 #   6. faults           (--faults) the fault-tolerance suites plus the
@@ -66,11 +68,11 @@ if [[ "$run_tidy" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== ASan+UBSan: cache + thread-pool + gather/tree + optimizer + loader suites =="
+  echo "== ASan+UBSan: cache + thread-pool + gather/tree + optimizer + loader + fold suites =="
   cmake --preset asan >/dev/null
   cmake --build build-asan -j"$jobs" \
     --target bhpo_hpo_test bhpo_common_test bhpo_data_test bhpo_ml_test \
-             bhpo_stress_test bhpo_fault_test
+             bhpo_cv_test bhpo_stress_test bhpo_fault_test
 
   ./build-asan/tests/bhpo_hpo_test \
     --gtest_filter='EvalCache*:CachingStrategy*:FoldCache*:CacheTransparency*'
@@ -90,6 +92,10 @@ if [[ "$run_asan" == 1 ]]; then
   # The CSV and LibSVM loaders parse untrusted bytes: every reject path
   # runs under the sanitizers too.
   ./build-asan/tests/bhpo_data_test --gtest_filter='IoTest*'
+  # Fold construction indexes per-fold quotas and per-group pools by
+  # caller-supplied counts: an out-of-bounds slot shows up here.
+  ./build-asan/tests/bhpo_cv_test \
+    --gtest_filter='GenFolds*:BuildGrouping*:*FoldBuilder*'
   ./build-asan/tests/bhpo_stress_test
 else
   echo "== ASan pass skipped =="

@@ -12,25 +12,11 @@
 
 namespace bhpo {
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::RandomGaussian(size_t rows, size_t cols, Rng* rng,
                               double stddev) {
   BHPO_CHECK(rng != nullptr);
   Matrix m(rows, cols);
   for (double& x : m.data_) x = rng->Gaussian(0.0, stddev);
-  return m;
-}
-
-Matrix Matrix::RandomUniform(size_t rows, size_t cols, Rng* rng,
-                             double limit) {
-  BHPO_CHECK(rng != nullptr);
-  Matrix m(rows, cols);
-  for (double& x : m.data_) x = rng->Uniform(-limit, limit);
   return m;
 }
 
@@ -42,11 +28,6 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
     for (size_t c = 0; c < m.cols_; ++c) m(r, c) = rows[r][c];
   }
   return m;
-}
-
-std::vector<double> Matrix::RowVector(size_t r) const {
-  const double* p = Row(r);
-  return std::vector<double>(p, p + cols_);
 }
 
 Matrix Matrix::SelectRows(const std::vector<size_t>& indices) const {
@@ -71,64 +52,8 @@ void Matrix::Add(const Matrix& other) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Matrix::Sub(const Matrix& other) {
-  BHPO_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-}
-
-void Matrix::MulElem(const Matrix& other) {
-  BHPO_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-}
-
 void Matrix::Scale(double factor) {
   for (double& x : data_) x *= factor;
-}
-
-void Matrix::AddScaled(const Matrix& other, double factor) {
-  BHPO_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += factor * other.data_[i];
-  }
-}
-
-void Matrix::AddRowBroadcast(const Matrix& row) {
-  BHPO_CHECK_EQ(row.rows(), 1u);
-  BHPO_CHECK_EQ(row.cols(), cols_);
-  const double* b = row.Row(0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double* p = Row(r);
-    for (size_t c = 0; c < cols_; ++c) p[c] += b[c];
-  }
-}
-
-Matrix Matrix::ColSums() const {
-  Matrix out(1, cols_);
-  double* o = out.Row(0);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* p = Row(r);
-    for (size_t c = 0; c < cols_; ++c) o[c] += p[c];
-  }
-  return out;
-}
-
-double Matrix::SumSquares() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return acc;
-}
-
-double Matrix::Dot(const Matrix& other) const {
-  BHPO_CHECK(SameShape(other));
-  double acc = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) acc += data_[i] * other.data_[i];
-  return acc;
-}
-
-double Matrix::MaxAbs() const {
-  double best = 0.0;
-  for (double x : data_) best = std::max(best, std::fabs(x));
-  return best;
 }
 
 std::string Matrix::ShapeString() const {

@@ -19,14 +19,9 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  static Matrix Zeros(size_t rows, size_t cols) { return Matrix(rows, cols); }
-  static Matrix Identity(size_t n);
   // Entries drawn iid from N(0, stddev^2).
   static Matrix RandomGaussian(size_t rows, size_t cols, Rng* rng,
                                double stddev = 1.0);
-  // Entries drawn iid from U(-limit, limit) (Glorot-style init).
-  static Matrix RandomUniform(size_t rows, size_t cols, Rng* rng,
-                              double limit);
   // Builds a matrix from nested initializer data; all rows must have equal
   // length.
   static Matrix FromRows(const std::vector<std::vector<double>>& rows);
@@ -60,8 +55,6 @@ class Matrix {
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
 
-  // Copies row r into a vector.
-  std::vector<double> RowVector(size_t r) const;
   // Selects a subset of rows (gather).
   Matrix SelectRows(const std::vector<size_t>& indices) const;
 
@@ -69,21 +62,7 @@ class Matrix {
 
   // Elementwise in-place ops; shapes must match.
   void Add(const Matrix& other);
-  void Sub(const Matrix& other);
-  void MulElem(const Matrix& other);
   void Scale(double factor);
-  // this += factor * other (axpy).
-  void AddScaled(const Matrix& other, double factor);
-  // Adds a row vector (1 x cols) to every row (bias broadcast).
-  void AddRowBroadcast(const Matrix& row);
-
-  // Column-wise sum -> (1 x cols). Used for bias gradients.
-  Matrix ColSums() const;
-
-  double SumSquares() const;
-  double Dot(const Matrix& other) const;
-  // Largest absolute entry (0 for an empty matrix).
-  double MaxAbs() const;
 
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;

@@ -1,5 +1,6 @@
 #include "cv/folds.h"
 
+#include <string>
 #include <unordered_set>
 
 namespace bhpo {

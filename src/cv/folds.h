@@ -1,12 +1,9 @@
 #ifndef BHPO_CV_FOLDS_H_
 #define BHPO_CV_FOLDS_H_
 
-#include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
-#include "data/dataset.h"
 
 namespace bhpo {
 
@@ -24,20 +21,6 @@ struct FoldSet {
 
   // All indices not in fold f (the training side of CV round f).
   std::vector<size_t> ComplementOf(size_t f) const;
-};
-
-// Strategy interface for fold construction. `subset` holds absolute row ids
-// of `data` (the budget b_t the bandit allocated); implementations split it
-// into k folds.
-class FoldBuilder {
- public:
-  virtual ~FoldBuilder() = default;
-
-  virtual Result<FoldSet> Build(const Dataset& data,
-                                const std::vector<size_t>& subset, size_t k,
-                                Rng* rng) const = 0;
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace bhpo

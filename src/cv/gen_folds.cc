@@ -11,6 +11,11 @@ Result<FoldSet> GenFolds(const Grouping& grouping,
                          const std::vector<size_t>& subset,
                          const GenFoldsOptions& options, Rng* rng) {
   size_t k = options.k_gen + options.k_spe;
+  // A sum smaller than either term wrapped round (e.g. a negative count
+  // cast to size_t); the special-fold slots would then index past k.
+  if (k < options.k_gen || k < options.k_spe) {
+    return Status::InvalidArgument("k_gen + k_spe overflows size_t");
+  }
   if (k < 2) return Status::InvalidArgument("k_gen + k_spe must be >= 2");
   if (subset.size() < k) {
     return Status::InvalidArgument("subset smaller than fold count");
@@ -103,17 +108,6 @@ Result<FoldSet> GenFolds(const Grouping& grouping,
   BHPO_RETURN_NOT_OK(out.Validate(grouping.group_of.size()));
   BHPO_CHECK_EQ(out.TotalSize(), subset.size());
   return out;
-}
-
-Result<FoldSet> GroupedFoldBuilder::Build(const Dataset& data,
-                                          const std::vector<size_t>& subset,
-                                          size_t k, Rng* rng) const {
-  (void)data;
-  if (k != options_.k_gen + options_.k_spe) {
-    return Status::InvalidArgument(
-        "GroupedFoldBuilder: k must equal k_gen + k_spe");
-  }
-  return GenFolds(*grouping_, subset, options_, rng);
 }
 
 }  // namespace bhpo

@@ -26,25 +26,6 @@ Result<FoldSet> GenFolds(const Grouping& grouping,
                          const std::vector<size_t>& subset,
                          const GenFoldsOptions& options, Rng* rng);
 
-// FoldBuilder adapter so the grouped scheme can drop into any code written
-// against the builder interface. `Build`'s k must equal k_gen + k_spe.
-// The grouping must outlive the builder.
-class GroupedFoldBuilder : public FoldBuilder {
- public:
-  GroupedFoldBuilder(const Grouping* grouping, GenFoldsOptions options)
-      : grouping_(grouping), options_(options) {
-    BHPO_CHECK(grouping != nullptr);
-  }
-
-  Result<FoldSet> Build(const Dataset& data, const std::vector<size_t>& subset,
-                        size_t k, Rng* rng) const override;
-  std::string name() const override { return "grouped"; }
-
- private:
-  const Grouping* grouping_;
-  GenFoldsOptions options_;
-};
-
 }  // namespace bhpo
 
 #endif  // BHPO_CV_GEN_FOLDS_H_

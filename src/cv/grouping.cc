@@ -1,13 +1,9 @@
 #include "cv/grouping.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
-#include "cluster/affinity_propagation.h"
 #include "cluster/balanced_kmeans.h"
-#include "cluster/kmeans.h"
-#include "cluster/meanshift.h"
 #include "cv/stratified_kfold.h"
 #include "data/split.h"
 
@@ -49,85 +45,6 @@ std::vector<int> EffectiveLabels(const Dataset& data,
   return labels;
 }
 
-namespace {
-
-// Feature clustering step: returns per-instance cluster ids in
-// [0, num_groups). Balanced k-means is the default; mean shift discovers
-// its own mode count, which is then reduced to num_groups by clustering
-// the modes.
-// Reduces a variable-cardinality clustering (mean shift / affinity
-// propagation) to exactly num_groups ids by k-means over the cluster
-// centers; returns empty when there are too few source clusters.
-Result<std::vector<int>> ReduceClustersToGroups(
-    const Dataset& data, const Matrix& centers,
-    const std::vector<int>& assignments, const GroupingOptions& options) {
-  if (centers.rows() < static_cast<size_t>(options.num_groups)) {
-    return std::vector<int>();
-  }
-  KMeansOptions km;
-  km.k = options.num_groups;
-  km.seed = options.seed;
-  km.max_iterations = options.kmeans_iterations;
-  BHPO_ASSIGN_OR_RETURN(KMeansResult merged, KMeans(centers, km));
-  std::vector<int> clusters(data.n());
-  for (size_t i = 0; i < data.n(); ++i) {
-    clusters[i] = merged.assignments[assignments[i]];
-  }
-  return clusters;
-}
-
-Result<std::vector<int>> ClusterFeatures(const Dataset& data,
-                                         const GroupingOptions& options) {
-  if (options.clusterer == GroupingOptions::Clusterer::kAffinityPropagation) {
-    BHPO_ASSIGN_OR_RETURN(AffinityPropagationResult ap,
-                          AffinityPropagation(data.features()));
-    Matrix exemplars(ap.exemplars.size(), data.num_features());
-    for (size_t e = 0; e < ap.exemplars.size(); ++e) {
-      const double* src = data.features().Row(ap.exemplars[e]);
-      for (size_t c = 0; c < data.num_features(); ++c) {
-        exemplars(e, c) = src[c];
-      }
-    }
-    BHPO_ASSIGN_OR_RETURN(
-        std::vector<int> clusters,
-        ReduceClustersToGroups(data, exemplars, ap.assignments, options));
-    if (!clusters.empty()) return clusters;
-    // Too few exemplars: fall through to balanced k-means.
-  }
-  if (options.clusterer == GroupingOptions::Clusterer::kMeanShift) {
-    MeanShiftOptions ms;
-    ms.seed = options.seed;
-    BHPO_ASSIGN_OR_RETURN(MeanShiftResult shift,
-                          MeanShift(data.features(), ms));
-    size_t modes = shift.modes.rows();
-    if (modes >= static_cast<size_t>(options.num_groups)) {
-      KMeansOptions km;
-      km.k = options.num_groups;
-      km.seed = options.seed;
-      km.max_iterations = options.kmeans_iterations;
-      BHPO_ASSIGN_OR_RETURN(KMeansResult mode_clusters,
-                            KMeans(shift.modes, km));
-      std::vector<int> clusters(data.n());
-      for (size_t i = 0; i < data.n(); ++i) {
-        clusters[i] = mode_clusters.assignments[shift.assignments[i]];
-      }
-      return clusters;
-    }
-    // Too few modes: fall through to balanced k-means.
-  }
-
-  BalancedKMeansOptions bk;
-  bk.k = options.num_groups;
-  bk.min_size_ratio = options.min_cluster_ratio;
-  bk.seed = options.seed;
-  bk.kmeans.max_iterations = options.kmeans_iterations;
-  BHPO_ASSIGN_OR_RETURN(BalancedKMeansResult result,
-                        BalancedKMeans(data.features(), bk));
-  return result.assignments;
-}
-
-}  // namespace
-
 std::vector<std::vector<size_t>> Grouping::MembersWithin(
     const std::vector<size_t>& subset) const {
   std::vector<std::vector<size_t>> out(num_groups);
@@ -152,8 +69,16 @@ Result<Grouping> BuildGrouping(const Dataset& data,
   grouping.effective_labels =
       EffectiveLabels(data, options, &grouping.num_effective_classes);
 
-  BHPO_ASSIGN_OR_RETURN(std::vector<int> clusters,
-                        ClusterFeatures(data, options));
+  // Feature categories c_i^x: balanced k-means over the features, one
+  // cluster per group.
+  BalancedKMeansOptions bk;
+  bk.k = options.num_groups;
+  bk.min_size_ratio = options.min_cluster_ratio;
+  bk.seed = options.seed;
+  bk.kmeans.max_iterations = options.kmeans_iterations;
+  BHPO_ASSIGN_OR_RETURN(BalancedKMeansResult clustering,
+                        BalancedKMeans(data.features(), bk));
+  const std::vector<int>& clusters = clustering.assignments;
 
   int v = options.num_groups;
   int u = grouping.num_effective_classes;

@@ -18,11 +18,8 @@ struct GroupingOptions {
   // r_group: a cluster is re-clustered away when it holds fewer than
   // min_cluster_ratio * n / v instances. The experiments use 0.8.
   double min_cluster_ratio = 0.8;
-  // Which clusterer produces the feature categories c_i^x (Section III-A
-  // lists k-means, mean-shift and affinity propagation).
-  enum class Clusterer { kKMeans, kMeanShift, kAffinityPropagation };
-  Clusterer clusterer = Clusterer::kKMeans;
-  // k-means iteration budget ("defaults to 10" in the paper).
+  // k-means iteration budget ("defaults to 10" in the paper). Balanced
+  // k-means produces the feature categories c_i^x.
   int kmeans_iterations = 10;
   // Classes smaller than rare_class_ratio * n / u are merged into one rare
   // pseudo-class before grouping (the paper uses 10%).

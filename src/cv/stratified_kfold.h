@@ -1,7 +1,11 @@
 #ifndef BHPO_CV_STRATIFIED_KFOLD_H_
 #define BHPO_CV_STRATIFIED_KFOLD_H_
 
+#include <vector>
+
+#include "common/rng.h"
 #include "cv/folds.h"
+#include "data/dataset.h"
 
 namespace bhpo {
 
@@ -9,14 +13,13 @@ namespace bhpo {
 // fold receives a near-proportional share of every class. For regression
 // datasets the targets are quantile-binned first so stratification remains
 // meaningful.
-class StratifiedKFold : public FoldBuilder {
+class StratifiedKFold {
  public:
   explicit StratifiedKFold(int regression_bins = 4)
       : regression_bins_(regression_bins) {}
 
   Result<FoldSet> Build(const Dataset& data, const std::vector<size_t>& subset,
-                        size_t k, Rng* rng) const override;
-  std::string name() const override { return "stratified"; }
+                        size_t k, Rng* rng) const;
 
  private:
   int regression_bins_;

@@ -258,6 +258,12 @@ Result<CheckpointState> LoadCheckpoint(const std::string& path) {
     return Status::IoError("unsupported checkpoint version " +
                            std::to_string(version));
   }
+  // The checksum covers only the payload, so the reserved word is checked
+  // here: a flipped bit must not load silently.
+  if ((header >> 32) != 0) {
+    return Status::IoError("checkpoint reserved header bits are not zero: " +
+                           path);
+  }
   uint64_t payload_size = 0;
   std::memcpy(&payload_size, file.data() + sizeof(kMagic) + 8,
               sizeof(payload_size));

@@ -33,8 +33,9 @@ namespace bhpo {
 // Writes are atomic: the file is written to "<path>.tmp" and renamed over
 // `path` only after a complete write, so a crash mid-write (or an injected
 // kCheckpointTornWrite fault) leaves the previous checkpoint intact. Loads
-// verify magic, version, payload size and checksum and fail closed with
-// IoError on any mismatch — a torn or corrupt file is never half-trusted.
+// verify magic, version, the zero reserved word, payload size and checksum
+// and fail closed with IoError on any mismatch — a torn or corrupt file is
+// never half-trusted.
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kCheckpointVersion = 1;

@@ -17,16 +17,6 @@ TEST(MatrixTest, EmptyMatrix) {
   Matrix m;
   EXPECT_TRUE(m.empty());
   EXPECT_EQ(m.rows(), 0u);
-  EXPECT_DOUBLE_EQ(m.MaxAbs(), 0.0);
-}
-
-TEST(MatrixTest, Identity) {
-  Matrix i = Matrix::Identity(3);
-  for (size_t r = 0; r < 3; ++r) {
-    for (size_t c = 0; c < 3; ++c) {
-      EXPECT_DOUBLE_EQ(i(r, c), r == c ? 1.0 : 0.0);
-    }
-  }
 }
 
 TEST(MatrixTest, FromRows) {
@@ -55,7 +45,9 @@ TEST(MatrixTest, MatMulIdentityIsNoop) {
   Rng rng(3);
   Matrix a = Matrix::RandomGaussian(4, 4, &rng);
   Matrix c(4, 4);
-  MatMulInto(a, Matrix::Identity(4), c);
+  Matrix identity = Matrix::FromRows(
+      {{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1}});
+  MatMulInto(a, identity, c);
   for (size_t r = 0; r < 4; ++r) {
     for (size_t col = 0; col < 4; ++col) {
       EXPECT_DOUBLE_EQ(c(r, col), a(r, col));
@@ -106,37 +98,8 @@ TEST(MatrixTest, ElementwiseOps) {
   Matrix b = Matrix::FromRows({{10, 20}, {30, 40}});
   a.Add(b);
   EXPECT_DOUBLE_EQ(a(1, 1), 44.0);
-  a.Sub(b);
-  EXPECT_DOUBLE_EQ(a(1, 1), 4.0);
-  a.MulElem(b);
-  EXPECT_DOUBLE_EQ(a(0, 0), 10.0);
   a.Scale(0.5);
-  EXPECT_DOUBLE_EQ(a(0, 0), 5.0);
-}
-
-TEST(MatrixTest, AddScaled) {
-  Matrix a(2, 2, 1.0);
-  Matrix b(2, 2, 2.0);
-  a.AddScaled(b, -0.5);
-  EXPECT_DOUBLE_EQ(a(0, 0), 0.0);
-}
-
-TEST(MatrixTest, AddRowBroadcast) {
-  Matrix a(3, 2, 1.0);
-  Matrix row = Matrix::FromRows({{10, 20}});
-  a.AddRowBroadcast(row);
-  for (size_t r = 0; r < 3; ++r) {
-    EXPECT_DOUBLE_EQ(a(r, 0), 11.0);
-    EXPECT_DOUBLE_EQ(a(r, 1), 21.0);
-  }
-}
-
-TEST(MatrixTest, ColSums) {
-  Matrix a = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
-  Matrix sums = a.ColSums();
-  EXPECT_EQ(sums.rows(), 1u);
-  EXPECT_DOUBLE_EQ(sums(0, 0), 9.0);
-  EXPECT_DOUBLE_EQ(sums(0, 1), 12.0);
+  EXPECT_DOUBLE_EQ(a(0, 0), 5.5);
 }
 
 TEST(MatrixTest, SelectRows) {
@@ -145,28 +108,6 @@ TEST(MatrixTest, SelectRows) {
   EXPECT_EQ(s.rows(), 2u);
   EXPECT_DOUBLE_EQ(s(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(s(1, 0), 1.0);
-}
-
-TEST(MatrixTest, SumSquaresAndDotAndMaxAbs) {
-  Matrix a = Matrix::FromRows({{1, -2}, {3, -4}});
-  EXPECT_DOUBLE_EQ(a.SumSquares(), 30.0);
-  Matrix b = Matrix::FromRows({{1, 1}, {1, 1}});
-  EXPECT_DOUBLE_EQ(a.Dot(b), -2.0);
-  EXPECT_DOUBLE_EQ(a.MaxAbs(), 4.0);
-}
-
-TEST(MatrixTest, RandomUniformRespectsLimit) {
-  Rng rng(11);
-  Matrix m = Matrix::RandomUniform(10, 10, &rng, 0.25);
-  EXPECT_LE(m.MaxAbs(), 0.25);
-  EXPECT_GT(m.MaxAbs(), 0.0);
-}
-
-TEST(MatrixTest, RowVectorCopies) {
-  Matrix a = Matrix::FromRows({{7, 8, 9}});
-  std::vector<double> v = a.RowVector(0);
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_DOUBLE_EQ(v[2], 9.0);
 }
 
 }  // namespace

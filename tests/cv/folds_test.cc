@@ -67,7 +67,7 @@ struct BuilderCase {
   size_t subset_size;
 };
 
-class FoldBuilderTest : public ::testing::TestWithParam<BuilderCase> {};
+using FoldBuilderTest = ::testing::TestWithParam<BuilderCase>;
 
 TEST_P(FoldBuilderTest, FoldsPartitionTheSubset) {
   BuilderCase param = GetParam();
@@ -75,13 +75,10 @@ TEST_P(FoldBuilderTest, FoldsPartitionTheSubset) {
   Rng rng(7);
   std::vector<size_t> subset = AllIndices(param.subset_size);
 
-  std::unique_ptr<FoldBuilder> builder;
-  if (param.stratified) {
-    builder = std::make_unique<StratifiedKFold>();
-  } else {
-    builder = std::make_unique<RandomKFold>();
-  }
-  FoldSet fs = builder->Build(data, subset, param.k, &rng).value();
+  Result<FoldSet> built =
+      param.stratified ? StratifiedKFold().Build(data, subset, param.k, &rng)
+                       : RandomKFold().Build(data, subset, param.k, &rng);
+  FoldSet fs = built.value();
 
   ASSERT_EQ(fs.num_folds(), param.k);
   EXPECT_TRUE(fs.Validate(data.n()).ok());

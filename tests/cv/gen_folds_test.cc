@@ -1,5 +1,6 @@
 #include "cv/gen_folds.h"
 
+#include <cstdint>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -145,17 +146,14 @@ TEST(GenFoldsTest, RejectsBadArguments) {
   bad_bias.special_bias = 1.5;
   EXPECT_FALSE(GenFolds(f.grouping, AllIndices(20), bad_bias, &rng).ok());
   EXPECT_FALSE(GenFolds(f.grouping, AllIndices(20), opts, nullptr).ok());
-}
-
-TEST(GroupedFoldBuilderTest, AdapterEnforcesK) {
-  Fixture f = MakeFixture(100, 2, 13);
-  GenFoldsOptions opts;
-  GroupedFoldBuilder builder(&f.grouping, opts);
-  Rng rng(14);
-  EXPECT_FALSE(builder.Build(f.data, AllIndices(50), 4, &rng).ok());
-  FoldSet fs = builder.Build(f.data, AllIndices(50), 5, &rng).value();
-  EXPECT_EQ(fs.num_folds(), 5u);
-  EXPECT_EQ(builder.name(), "grouped");
+  // k_gen = -1 cast to size_t: the sum wraps round to 6, which would pass
+  // the fold-count checks and send the special folds out of bounds.
+  GenFoldsOptions wrapped;
+  wrapped.k_gen = SIZE_MAX;
+  wrapped.k_spe = 7;
+  Result<FoldSet> wrap = GenFolds(f.grouping, AllIndices(20), wrapped, &rng);
+  ASSERT_FALSE(wrap.ok());
+  EXPECT_EQ(wrap.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

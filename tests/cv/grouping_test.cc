@@ -147,19 +147,6 @@ TEST(BuildGroupingTest, WorksForRegression) {
   EXPECT_GT(g.num_effective_classes, 1);
 }
 
-TEST(BuildGroupingTest, MeanShiftClustererAlsoWorks) {
-  Dataset data = ClusteredData(150, 2, 14);
-  GroupingOptions opts;
-  opts.num_groups = 2;
-  opts.clusterer = GroupingOptions::Clusterer::kMeanShift;
-  opts.seed = 15;
-  Grouping g = BuildGrouping(data, opts).value();
-  EXPECT_EQ(g.group_of.size(), data.n());
-  size_t total = 0;
-  for (const auto& m : g.members) total += m.size();
-  EXPECT_EQ(total, data.n());
-}
-
 TEST(BuildGroupingTest, RejectsInvalidOptions) {
   Dataset data = ClusteredData(50, 2, 16);
   GroupingOptions opts;

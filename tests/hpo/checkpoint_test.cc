@@ -166,6 +166,19 @@ TEST(CheckpointTest, VersionMismatchIsRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
+TEST(CheckpointTest, NonzeroReservedHeaderIsRejected) {
+  std::string path = TempPath("ckpt_reserved.ckpt");
+  ASSERT_TRUE(SaveCheckpoint(path, MakeState()).ok());
+  std::string bytes = ReadAll(path);
+  // The u32 reserved word follows the magic and the u32 version; the
+  // payload checksum does not cover it.
+  bytes[12] = static_cast<char>(bytes[12] ^ 0x01);
+  WriteAll(path, bytes);
+  Result<CheckpointState> loaded = LoadCheckpoint(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
 TEST(CheckpointTest, TornWriteLeavesPreviousCheckpointIntact) {
   std::string path = TempPath("ckpt_torn.ckpt");
   CheckpointState first = MakeState();

@@ -180,6 +180,9 @@ Status RunCli(int argc, char** argv) {
   options.factory.seed = static_cast<uint64_t>(seed) + 1;
 
   BHPO_ASSIGN_OR_RETURN(int threads, flags.GetInt("threads", 1));
+  if (threads < 1) {
+    return Status::InvalidArgument("--threads must be >= 1");
+  }
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   // Two-level parallelism on one shared pool: configurations across each
@@ -239,6 +242,9 @@ Status RunCli(int argc, char** argv) {
     GenFoldsOptions folds;
     BHPO_ASSIGN_OR_RETURN(int k_gen, flags.GetInt("k-gen", 3));
     BHPO_ASSIGN_OR_RETURN(int k_spe, flags.GetInt("k-spe", 2));
+    if (k_gen < 0 || k_spe < 0) {
+      return Status::InvalidArgument("--k-gen and --k-spe must be >= 0");
+    }
     folds.k_gen = static_cast<size_t>(k_gen);
     folds.k_spe = static_cast<size_t>(k_spe);
     options.num_folds = folds.k_gen + folds.k_spe;
@@ -395,7 +401,10 @@ Status RunCli(int argc, char** argv) {
     std::fprintf(out, "    \"hit_rate\": %.6f\n", cache_stats.hit_rate());
     std::fprintf(out, "  }\n");
     std::fprintf(out, "}\n");
-    std::fclose(out);
+    bool write_failed = std::ferror(out) != 0;
+    if (std::fclose(out) != 0 || write_failed) {
+      return Status::IoError("cannot write --json path '" + json_path + "'");
+    }
     std::printf("wrote JSON summary to %s\n", json_path.c_str());
   }
 
