@@ -7,12 +7,14 @@
 // Each cell reports the minimum over --reps fits. A checksum over the bits
 // of every cell's final training loss and iteration count is printed too:
 // two builds that agree on it ran the same floating-point operations, so a
-// speedup claim can be checked for bit-identity in the same run.
+// speedup claim can be checked for bit-identity in the same run. The
+// checksum does not depend on the matmul tile width; the `ms` cells do, so
+// the JSON names the width that ran ("sse2" or "avx2").
 //
 //   micro_mlp_fit [--reps 5] [--max-iter 40] [--out BENCH_mlp_fit.json]
 //
 // Emits machine-readable JSON on stdout (and to --out):
-//   {"max_iter":..,"reps":..,"cells":[{"dataset":..,"solver":..,"rows":..,
+//   {"max_iter":..,"reps":..,"tile":"sse2"|"avx2","cells":[{"dataset":..,"solver":..,"rows":..,
 //    "ms":..,"iterations":..,"loss_bits":".."},..],"loss_checksum":".."}
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 
 #include "common/check.h"
 #include "common/flags.h"
+#include "common/matrix.h"
 #include "data/dataset_view.h"
 #include "data/paper_datasets.h"
 #include "ml/mlp.h"
@@ -119,12 +122,16 @@ int Main(int argc, char** argv) {
     }
   }
 
+  const char* tile =
+      internal::TileWidthName(internal::DispatchedTileWidth());
   std::string json = "{\"max_iter\": " + std::to_string(max_iter) +
                      ", \"reps\": " + std::to_string(reps) +
+                     ", \"tile\": \"" + tile + "\"" +
                      ", \"cells\": [" + cells + "], \"loss_checksum\": \"" +
                      Hex(checksum) + "\"}";
   std::printf("%s\n", json.c_str());
-  std::fprintf(stderr, "loss checksum %s\n", Hex(checksum).c_str());
+  std::fprintf(stderr, "loss checksum %s (tile %s)\n", Hex(checksum).c_str(),
+               tile);
 
   std::FILE* file = std::fopen(out.c_str(), "w");
   if (file == nullptr) {

@@ -8,10 +8,12 @@
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
 #   4. ASan+UBSan       cache + thread-pool + gather/tree-golden suites, the
-#                       MLP goldens, every optimizer (suites + goldens), the
-#                       CSV/LibSVM loader suite, fold construction and
-#                       grouping (GenFolds, BuildGrouping, the k-fold
-#                       builders) and the FaultSmoke runs
+#                       matmul kernels at both tile widths (the 4-lane
+#                       tile's unaligned edge loads), the MLP goldens, every
+#                       optimizer (suites + goldens), the CSV/LibSVM loader
+#                       suite, fold construction and grouping (GenFolds,
+#                       BuildGrouping, the k-fold builders) and the
+#                       FaultSmoke runs
 #   5. TSan             ThreadPool / fold-parallel CV / EvalCache suites and
 #                       the contended stress test under -fsanitize=thread
 #   6. faults           (--faults) the fault-tolerance suites plus the
@@ -68,7 +70,7 @@ if [[ "$run_tidy" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== ASan+UBSan: cache + thread-pool + gather/tree + optimizer + loader + fold suites =="
+  echo "== ASan+UBSan: cache + thread-pool + gather/tree + matmul + optimizer + loader + fold suites =="
   cmake --preset asan >/dev/null
   cmake --build build-asan -j"$jobs" \
     --target bhpo_hpo_test bhpo_common_test bhpo_data_test bhpo_ml_test \
@@ -87,6 +89,10 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/bhpo_common_test \
     --gtest_filter='Gather*:ColBlockMatrix*:MatrixSelectRowsGather*'
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
+  # Matmul kernels at every tile width the CPU has, on the 1..123-column
+  # edge widths: an unaligned vector load past the end of a row shows up
+  # here. The leading * also matches the TileWidths/ parameterized suite.
+  ./build-asan/tests/bhpo_common_test --gtest_filter='*MatrixKernels*:Matrix*'
   ./build-asan/tests/bhpo_ml_test \
     --gtest_filter='TreeLayoutBitExact*:AllCells/MlpGolden*'
   # The CSV and LibSVM loaders parse untrusted bytes: every reject path

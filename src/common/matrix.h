@@ -130,6 +130,29 @@ void TransposeMatMulInto(ConstMatrixView a, ConstMatrixView b,
 void MatMulTransposeInto(ConstMatrixView a, ConstMatrixView b, MatrixView bt,
                          MatrixView out);
 
+namespace internal {
+
+// The register tile comes in two widths with identical results: 2 lanes
+// (SSE2, baseline x86-64) and 4 lanes (AVX2 without FMA). The kernels above
+// run the widest one the CPU supports, chosen once per process. Exposed so
+// bit-identity tests can run each width and benches can report which ran.
+enum class TileWidth { kSse2, kAvx2 };
+
+bool TileWidthSupported(TileWidth width);
+TileWidth DispatchedTileWidth();
+// "sse2" or "avx2".
+const char* TileWidthName(TileWidth width);
+
+// The kernels above at an explicit width, which must be supported.
+void MatMulInto(TileWidth width, ConstMatrixView a, ConstMatrixView b,
+                MatrixView out);
+void TransposeMatMulInto(TileWidth width, ConstMatrixView a,
+                         ConstMatrixView b, MatrixView out);
+void MatMulTransposeInto(TileWidth width, ConstMatrixView a,
+                         ConstMatrixView b, MatrixView bt, MatrixView out);
+
+}  // namespace internal
+
 }  // namespace bhpo
 
 #endif  // BHPO_COMMON_MATRIX_H_

@@ -102,7 +102,7 @@ Result<IndexSplit> SplitViewIndices(const DatasetView& view,
   if (rng == nullptr) {
     return Status::InvalidArgument("SplitViewIndices needs an Rng");
   }
-  if (test_fraction <= 0.0 || test_fraction >= 1.0) {
+  if (!(test_fraction > 0.0 && test_fraction < 1.0)) {  // NaN too
     return Status::InvalidArgument("test_fraction must be in (0, 1)");
   }
   size_t n = view.n();

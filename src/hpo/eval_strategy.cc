@@ -190,6 +190,7 @@ Result<std::unique_ptr<EnhancedStrategy>> EnhancedStrategy::Create(
         "k_gen + k_spe must equal num_folds (the paper keeps the total at "
         "5)");
   }
+  BHPO_RETURN_NOT_OK(scoring.Validate());
   BHPO_ASSIGN_OR_RETURN(Grouping grouping,
                         BuildGrouping(train, grouping_options));
   // make_unique cannot reach the private constructor; ownership is taken

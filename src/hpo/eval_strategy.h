@@ -109,7 +109,7 @@ class EnhancedStrategy : public EvalStrategy {
  public:
   // Builds the grouping over `train` once, before optimization starts
   // (Figure 2 (a)-(d)). fold_options.k_gen + k_spe must equal
-  // options.num_folds.
+  // options.num_folds, and `scoring` must pass ScoringOptions::Validate.
   static Result<std::unique_ptr<EnhancedStrategy>> Create(
       const Dataset& train, const GroupingOptions& grouping_options,
       const GenFoldsOptions& fold_options, const ScoringOptions& scoring,

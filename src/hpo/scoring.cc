@@ -7,6 +7,16 @@
 
 namespace bhpo {
 
+Status ScoringOptions::Validate() const {
+  if (!std::isfinite(alpha) || alpha < 0.0) {
+    return Status::InvalidArgument("alpha must be finite and >= 0");
+  }
+  if (!std::isfinite(beta_max) || beta_max <= 0.0) {
+    return Status::InvalidArgument("beta_max must be finite and > 0");
+  }
+  return Status::OK();
+}
+
 double ScoreOutcome(const CvOutcome& outcome, double gamma_percent,
                     const ScoringOptions& options) {
   // Partial-failure guard for Equation 3: mu/sigma are computed over the

@@ -1,6 +1,7 @@
 #ifndef BHPO_HPO_SCORING_H_
 #define BHPO_HPO_SCORING_H_
 
+#include "common/status.h"
 #include "cv/cross_validate.h"
 
 namespace bhpo {
@@ -15,6 +16,11 @@ struct ScoringOptions {
   double alpha = 0.1;
   // Maximum of the beta(gamma) weight; recommended 1/alpha (10).
   double beta_max = 10.0;
+
+  // InvalidArgument unless alpha is finite and >= 0 and beta_max is finite
+  // and > 0. Every entry point that takes options from a user calls it, so
+  // a bad value never reaches the beta(gamma) checks or the Eq. 3 score.
+  Status Validate() const;
 };
 
 // Scores one configuration's CV outcome. gamma_percent is the sampling

@@ -2,12 +2,16 @@
 // they replaced. The reference loops below are frozen copies of the
 // original Matrix::MatMul / TransposeMatMul / MatMulTranspose bodies (zero
 // skip included), so this test keeps pinning the historical results even as
-// the kernels change.
+// the kernels change. The public kernels run the tile width the CPU
+// dispatches to; MatrixKernelsWidthTest runs each width explicitly through
+// the internal:: entry points and checks the dispatched kernel against it.
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +19,12 @@
 #include "common/rng.h"
 
 namespace bhpo {
+namespace internal {
+
+// Names the width in gtest's parameter output.
+void PrintTo(TileWidth width, std::ostream* os) { *os << TileWidthName(width); }
+
+}  // namespace internal
 namespace {
 
 Matrix ReferenceMatMul(const Matrix& a, const Matrix& b) {
@@ -152,10 +162,13 @@ Matrix MakeOperand(size_t rows, size_t cols, Rng* rng, bool is_a,
   return ::testing::AssertionSuccess();
 }
 
-// Output rows x cols cover every tile remainder: 2-row pairs plus a single
-// row, and 8/4/2/1-column blocks.
-const size_t kRows[] = {1, 2, 3, 441};
-const size_t kCols[] = {1, 2, 3, 7, 8, 9, 50};
+// Output rows x cols cover every tile remainder of both widths: 2-row pairs
+// plus a single row; 8/4/2/1-column blocks of the 2-lane tile and
+// 16/8/4/2/1-column blocks of the 4-lane tile, on each side of every block
+// edge. 50 and 123 are the MLP's hidden and a9a input widths.
+const size_t kRows[] = {1, 2, 3, 8, 441};
+const size_t kCols[] = {1,  2,  3,  7,  8,  9,  15, 16,
+                        17, 31, 32, 33, 50, 123};
 const size_t kDepths[] = {1, 6, 33};
 const Flavour kFlavours[] = {Flavour::kDense, Flavour::kReluA,
                              Flavour::kSignedZeros, Flavour::kNonFiniteB,
@@ -219,6 +232,103 @@ TEST(MatrixKernelsTest, MatMulTransposeIntoMatchesReferenceBitForBit) {
       }
     }
   }
+}
+
+using internal::TileWidth;
+
+// One tile width, run explicitly. Each case is also run through the
+// dispatched public kernel, which must give the same bits as every width.
+class MatrixKernelsWidthTest : public ::testing::TestWithParam<TileWidth> {
+ protected:
+  void SetUp() override {
+    if (!internal::TileWidthSupported(GetParam())) {
+      GTEST_SKIP() << "this CPU has no " << internal::TileWidthName(GetParam())
+                   << " tile";
+    }
+  }
+};
+
+TEST_P(MatrixKernelsWidthTest, MatMulIntoMatchesReferenceBitForBit) {
+  Rng rng(101);
+  for (Flavour f : kFlavours) {
+    for (size_t rows : kRows) {
+      for (size_t cols : kCols) {
+        for (size_t depth : kDepths) {
+          Matrix a = MakeOperand(rows, depth, &rng, true, f);
+          Matrix b = MakeOperand(depth, cols, &rng, false, f);
+          Matrix out(rows, cols, 7.0);
+          internal::MatMulInto(GetParam(), a, b, out);
+          Matrix dispatched(rows, cols, 7.0);
+          MatMulInto(a, b, dispatched);
+          EXPECT_TRUE(BitIdentical(ReferenceMatMul(a, b), out))
+              << FlavourName(f) << " " << rows << "x" << depth << " * "
+              << depth << "x" << cols;
+          EXPECT_TRUE(BitIdentical(out, dispatched));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(MatrixKernelsWidthTest, TransposeMatMulIntoMatchesReferenceBitForBit) {
+  Rng rng(202);
+  for (Flavour f : kFlavours) {
+    for (size_t rows : kRows) {
+      for (size_t cols : kCols) {
+        for (size_t depth : kDepths) {
+          Matrix a = MakeOperand(depth, rows, &rng, true, f);
+          Matrix b = MakeOperand(depth, cols, &rng, false, f);
+          Matrix out(rows, cols, 7.0);
+          internal::TransposeMatMulInto(GetParam(), a, b, out);
+          Matrix dispatched(rows, cols, 7.0);
+          TransposeMatMulInto(a, b, dispatched);
+          EXPECT_TRUE(BitIdentical(ReferenceTransposeMatMul(a, b), out))
+              << FlavourName(f) << " (" << depth << "x" << rows << ")^T * "
+              << depth << "x" << cols;
+          EXPECT_TRUE(BitIdentical(out, dispatched));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(MatrixKernelsWidthTest, MatMulTransposeIntoMatchesReferenceBitForBit) {
+  Rng rng(303);
+  for (Flavour f : kFlavours) {
+    for (size_t rows : kRows) {
+      for (size_t cols : kCols) {
+        for (size_t depth : kDepths) {
+          Matrix a = MakeOperand(rows, depth, &rng, true, f);
+          Matrix b = MakeOperand(cols, depth, &rng, false, f);
+          Matrix bt(depth, cols);
+          Matrix out(rows, cols, 7.0);
+          internal::MatMulTransposeInto(GetParam(), a, b, bt, out);
+          Matrix dispatched_bt(depth, cols);
+          Matrix dispatched(rows, cols, 7.0);
+          MatMulTransposeInto(a, b, dispatched_bt, dispatched);
+          EXPECT_TRUE(BitIdentical(ReferenceMatMulTranspose(a, b), out))
+              << FlavourName(f) << " " << rows << "x" << depth << " * ("
+              << cols << "x" << depth << ")^T";
+          EXPECT_TRUE(BitIdentical(b.Transpose(), bt));
+          EXPECT_TRUE(BitIdentical(out, dispatched));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TileWidths, MatrixKernelsWidthTest,
+    ::testing::Values(TileWidth::kSse2, TileWidth::kAvx2),
+    [](const ::testing::TestParamInfo<TileWidth>& info) {
+      return std::string(internal::TileWidthName(info.param));
+    });
+
+TEST(MatrixKernelsTest, DispatchesToTheWidestSupportedWidth) {
+  EXPECT_TRUE(internal::TileWidthSupported(TileWidth::kSse2));
+  EXPECT_EQ(internal::DispatchedTileWidth(),
+            internal::TileWidthSupported(TileWidth::kAvx2) ? TileWidth::kAvx2
+                                                           : TileWidth::kSse2);
 }
 
 TEST(MatrixKernelsTest, EmptyDepthYieldsPositiveZeros) {

@@ -1,6 +1,7 @@
 #include "hpo/beta_weight.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,26 @@ TEST(ScoreOutcomeTest, AlphaBetaMaxNormalization) {
   opts.beta_max = 10.0;
   EXPECT_LE(ScoreOutcome(cv, 0.0, opts), 1.0 + 1e-12);
   EXPECT_NEAR(ScoreOutcome(cv, 0.0, opts), 1.0, 1e-9);
+}
+
+TEST(ScoringOptionsTest, ValidateRejectsNonFiniteAndOutOfRangeWeights) {
+  EXPECT_TRUE(ScoringOptions().Validate().ok());
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (double alpha : {-0.5, kNan, kInf}) {
+    ScoringOptions opts;
+    opts.alpha = alpha;
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument) << alpha;
+  }
+  for (double beta_max : {-3.0, 0.0, kNan, kInf}) {
+    ScoringOptions opts;
+    opts.beta_max = beta_max;
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument)
+        << beta_max;
+  }
+  ScoringOptions zero_alpha;
+  zero_alpha.alpha = 0.0;  // The mean-only ablation.
+  EXPECT_TRUE(zero_alpha.Validate().ok());
 }
 
 }  // namespace

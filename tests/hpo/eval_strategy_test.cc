@@ -92,6 +92,15 @@ TEST(EnhancedStrategyTest, CreateValidatesFoldArithmetic) {
           .ok());
 }
 
+TEST(EnhancedStrategyTest, CreateValidatesScoringOptions) {
+  ScoringOptions scoring;
+  scoring.beta_max = -3.0;
+  auto strategy = EnhancedStrategy::Create(TinyBlobs(), GroupingOptions(),
+                                           GenFoldsOptions(), scoring,
+                                           FastOptions());
+  EXPECT_EQ(strategy.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(EnhancedStrategyTest, EvaluateUsesEquation3) {
   Dataset data = TinyBlobs(100, 7);
   GroupingOptions grouping;

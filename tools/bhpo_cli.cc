@@ -43,7 +43,7 @@ data source (exactly one):
 data options:
   --format csv|libsvm    input format           (default: by extension)
   --task classification|regression              (default: classification)
-  --test-fraction F      holdout fraction       (default: 0.2)
+  --test-fraction F      holdout fraction, --data only (default: 0.2)
   --scale F              synthetic scale factor (default: 0.25)
 
 output options:
@@ -101,6 +101,14 @@ Status RunCli(int argc, char** argv) {
   }
   BHPO_ASSIGN_OR_RETURN(double test_fraction,
                         flags.GetDouble("test-fraction", 0.2));
+  if (!(test_fraction > 0.0 && test_fraction < 1.0)) {
+    return Status::InvalidArgument("--test-fraction must be in (0, 1)");
+  }
+  if (!synthetic.empty() && flags.Has("test-fraction")) {
+    return Status::InvalidArgument(
+        "--test-fraction applies only to --data: a --synthetic stand-in "
+        "has its own split");
+  }
   BHPO_ASSIGN_OR_RETURN(double scale, flags.GetDouble("scale", 0.25));
   BHPO_ASSIGN_OR_RETURN(int seed, flags.GetInt("seed", 42));
 
@@ -253,6 +261,7 @@ Status RunCli(int argc, char** argv) {
     BHPO_ASSIGN_OR_RETURN(scoring.alpha, flags.GetDouble("alpha", 0.1));
     BHPO_ASSIGN_OR_RETURN(scoring.beta_max,
                           flags.GetDouble("beta-max", 10.0));
+    BHPO_RETURN_NOT_OK(scoring.Validate());
     BHPO_ASSIGN_OR_RETURN(
         strategy,
         EnhancedStrategy::Create(data.train, grouping, folds, scoring,
