@@ -11,7 +11,9 @@
 //     fault injector, so BHPO_FAULT cannot leak in); SHA and Hyperband
 //     additionally at ThreadPool(1) and ThreadPool(8), which must reproduce
 //     the serial digest.
-//   - the bandits under an explicit 30% mixed-fault injector.
+//   - every real search under an explicit 30% mixed-fault injector; the
+//     three full-budget searches also through EvalStormStrategy, which
+//     fails whole evaluations so that they are demoted.
 // Every pinned run ends with a healthy incumbent: none of them exercises an
 // all-failed or demoted-winner fallback.
 #include <cmath>
@@ -371,7 +373,7 @@ TEST(OptimizerGoldenTest, RealTpe) {
   ExpectGolden(tpe.Optimize(env->train, &rng), 0x898d2f9bde2045e4ull);
 }
 
-// --- The bandits under an explicit 30% mixed-fault injector ----------------
+// --- Every search under an explicit 30% mixed-fault injector ---------------
 
 constexpr char kStorm[] = "rate=0.3,seed=7";
 
@@ -397,6 +399,82 @@ TEST(OptimizerGoldenTest, FaultStormAsha) {
 
 TEST(OptimizerGoldenTest, FaultStormPasha) {
   ExpectGolden(RealPasha(kStorm), 0x1246db19a68b6f8dull);
+}
+
+// kStorm's faults are fold-level: a fold that exhausts its retries is
+// quarantined while the other folds still score, so they never fail a whole
+// evaluation and never reach the demotion path. For the full-budget
+// searches this decorator adds whole-evaluation failures drawn from the same
+// plan: an evaluation fails with the demotable Internal status whenever the
+// injector would fire kFitThrow or kFitDiverge at a site derived from its
+// configuration and budget.
+class EvalStormStrategy : public EvalStrategy {
+ public:
+  EvalStormStrategy(EvalStrategy* inner, const FaultInjector* faults)
+      : inner_(inner), faults_(faults) {}
+
+  Result<EvalResult> Evaluate(const Configuration& config,
+                              const Dataset& train, size_t budget,
+                              Rng* rng) override {
+    uint64_t site = config.Hash() ^ (budget * 0x9e3779b97f4a7c15ull);
+    for (FaultPoint point : {FaultPoint::kFitThrow, FaultPoint::kFitDiverge}) {
+      if (faults_->Decide(point, site, 0) != FaultKind::kNone) {
+        return Status::Internal("injected fault: evaluation failed");
+      }
+    }
+    return inner_->Evaluate(config, train, budget, rng);
+  }
+
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  EvalStrategy* inner_;
+  const FaultInjector* faults_;
+};
+
+struct StormEnv {
+  std::unique_ptr<RealEnv> env = MakeRealEnv(kStorm, nullptr);
+  EvalStormStrategy strategy{env->strategy.get(), env->faults.get()};
+};
+
+TEST(OptimizerGoldenTest, FaultStormRandomSearch) {
+  StormEnv storm;
+  RandomSearch search(&storm.env->space, &storm.strategy, 8);
+  Rng rng(207);
+  ExpectGolden(search.Optimize(storm.env->train, &rng),
+               0x8255112d944dddccull);
+}
+
+// A demoted draw still counts toward initial_random: the warm start spends
+// exactly initial_random evaluations whether or not they fail, and this run
+// demotes at least one of them.
+TEST(OptimizerGoldenTest, FaultStormSmac) {
+  StormEnv storm;
+  SmacOptions options;
+  options.num_iterations = 8;
+  options.initial_random = 4;
+  options.candidates_per_iteration = 20;
+  options.surrogate_trees = 5;
+  Smac smac(&storm.env->space, &storm.strategy, options);
+  Rng rng(208);
+  Result<HpoResult> run = smac.Optimize(storm.env->train, &rng);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  size_t warm_failed = 0;
+  for (size_t i = 0; i < options.initial_random; ++i) {
+    if (run.value().history[i].eval_failed) ++warm_failed;
+  }
+  EXPECT_GT(warm_failed, 0u);
+  ExpectGolden(run, 0x340f07097b407054ull);
+}
+
+TEST(OptimizerGoldenTest, FaultStormTpe) {
+  StormEnv storm;
+  TpeSearchOptions options;
+  options.num_iterations = 10;
+  options.tpe.min_points = 3;
+  TpeSearch tpe(&storm.env->space, &storm.strategy, options);
+  Rng rng(209);
+  ExpectGolden(tpe.Optimize(storm.env->train, &rng), 0x3632f89aea4419f2ull);
 }
 
 }  // namespace
