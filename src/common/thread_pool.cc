@@ -25,31 +25,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  BHPO_CHECK(task != nullptr);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    BHPO_CHECK(!shutting_down_) << "Submit after shutdown";
-    tasks_.push(Task{std::move(task), nullptr});
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
 void ThreadPool::RunOneTaskLocked(std::unique_lock<std::mutex>* lock) {
   Task task = std::move(tasks_.front());
   tasks_.pop();
   lock->unlock();
   task.fn();
   lock->lock();
-  --in_flight_;
-  if (in_flight_ == 0) all_done_.notify_all();
-  if (task.batch != nullptr && --task.batch->pending == 0) {
+  if (--task.batch->pending == 0) {
     // The batch owner waits under mutex_, so notifying while holding the
     // lock is safe: it cannot destroy the Batch until we release it.
     task.batch->done.notify_all();
@@ -70,7 +52,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     BHPO_CHECK(!shutting_down_) << "ParallelFor after shutdown";
     for (size_t i = 0; i < n; ++i) {
       tasks_.push(Task{[&fn, i] { fn(i); }, &batch});
-      ++in_flight_;
     }
   }
   task_available_.notify_all();

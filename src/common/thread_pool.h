@@ -30,13 +30,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  // Enqueues a task. Must not be called after Wait() has begun from another
-  // thread or after destruction has started.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished.
-  void Wait();
-
   // Runs fn(i) for i in [0, n), partitioned across the pool, and blocks
   // until all iterations complete. Safe to call from inside a pool worker:
   // the caller executes queued tasks itself while its batch is pending, so
@@ -54,7 +47,7 @@ class ThreadPool {
   };
   struct Task {
     std::function<void()> fn;
-    Batch* batch = nullptr;  // null for plain Submit() tasks
+    Batch* batch = nullptr;  // The ParallelFor call the task belongs to.
   };
 
   void WorkerLoop();
@@ -66,8 +59,6 @@ class ThreadPool {
   std::queue<Task> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 

@@ -32,14 +32,14 @@ Result<HpoResult> RunAshaLoop(const ConfigSpace& space,
   uint64_t eval_root = rng->engine()();
 
   auto run_job = [&](const Configuration& config, size_t rung) -> Status {
-    // Demotable failures become sentinel entries that sink to the bottom of
-    // the rung instead of killing the search.
+    // A job is a rung step over a batch of one. Demotable failures become
+    // sentinel entries that sink to the bottom of the rung instead of
+    // killing the search.
     BHPO_ASSIGN_OR_RETURN(
-        EvalResult eval,
-        EvaluateOrDemote(strategy, config, train, rung_budget[rung],
-                         eval_root));
-    rungs[rung].push_back({config, eval.score, false});
-    ledger.Record(config, rung, eval);
+        std::vector<EvalResult> evals,
+        EvaluateRung(strategy, {config}, train, rung_budget[rung], rung,
+                     eval_root, nullptr, nullptr, &ledger));
+    rungs[rung].push_back({config, evals.front().score, false});
     return Status::OK();
   };
 

@@ -34,7 +34,7 @@ struct EvalResult {
   size_t cache_fold_hits = 0;
   size_t cache_fold_misses = 0;
   bool cache_result_hit = false;
-  // Set by the optimizer layer (EvaluateOrDemote) when the whole evaluation
+  // Set by the optimizer layer (EvaluateBatch) when the whole evaluation
   // failed and was demoted to the sentinel score instead of aborting the
   // rung. Strategies themselves never set it.
   bool eval_failed = false;

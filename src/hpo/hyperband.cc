@@ -40,33 +40,18 @@ Result<HpoResult> Hyperband::Optimize(const Dataset& train, Rng* rng) {
           std::llround(r_s * std::pow(eta, i)));
       budget = std::min<size_t>(std::max<size_t>(budget, 1), big_r);
 
+      // Keyed on the requested budget: every bracket tops out at R, and
+      // only evaluations at equal budgets compare across brackets.
       BHPO_ASSIGN_OR_RETURN(
           std::vector<EvalResult> evals,
-          EvaluateBatch(strategy_, configs, train, budget, eval_root,
-                        options_.pool));
-      std::vector<double> scores(configs.size());
-      for (size_t c = 0; c < configs.size(); ++c) {
-        const EvalResult& eval = evals[c];
-        scores[c] = eval.score;
-        // A demoted evaluation's sentinel score must not feed the sampler's
-        // model (BOHB's KDE would learn from a fake -inf observation).
-        if (!eval.eval_failed) {
-          sampler_->Observe(configs[c], eval.score, eval.budget_used);
-        }
-        // Keyed on the requested budget: every bracket tops out at R, and
-        // only evaluations at equal budgets compare across brackets.
-        ledger.Record(configs[c], budget, eval);
-      }
+          EvaluateRung(strategy_, configs, train, budget, budget, eval_root,
+                       options_.pool, sampler_, &ledger));
 
       if (i == s) break;  // Last rung of the bracket.
       size_t keep = std::max<size_t>(
           1, static_cast<size_t>(std::floor(
                  static_cast<double>(configs.size()) / eta)));
-      std::vector<size_t> kept = TopIndicesByScore(scores, keep);
-      std::vector<Configuration> next;
-      next.reserve(kept.size());
-      for (size_t idx : kept) next.push_back(std::move(configs[idx]));
-      configs = std::move(next);
+      configs = KeepTop(std::move(configs), evals, keep);
     }
   }
 

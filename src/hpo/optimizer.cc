@@ -3,7 +3,6 @@
 #include <limits>
 #include <memory>
 
-#include "common/logging.h"
 #include "hpo/checkpoint.h"
 #include "ml/mlp.h"
 
@@ -29,24 +28,6 @@ EvalResult DemotedEvalResult() {
   return out;
 }
 
-Result<EvalResult> DemoteIfFailed(Result<EvalResult> result,
-                                  const Configuration& config) {
-  if (result.ok() || !IsDemotableEvalError(result.status())) return result;
-  BHPO_LOG(kWarning) << "evaluation of " << config.ToString()
-                     << " demoted to sentinel score: "
-                     << result.status().ToString();
-  return DemotedEvalResult();
-}
-
-Result<EvalResult> EvaluateOrDemote(EvalStrategy* strategy,
-                                    const Configuration& config,
-                                    const Dataset& train, size_t budget,
-                                    uint64_t eval_root) {
-  Rng eval_rng = PerEvalRng(eval_root, config, budget, train.n());
-  return DemoteIfFailed(strategy->Evaluate(config, train, budget, &eval_rng),
-                        config);
-}
-
 void RunLedger::Record(const Configuration& config, size_t rung,
                        const EvalResult& eval) {
   result_.history.push_back(
@@ -68,16 +49,12 @@ void RunLedger::Offer(size_t index, size_t rung) {
   if (record.eval_failed) return;
   // Strict > keeps the earliest of equal scores.
   if (!has_incumbent_ || rung > incumbent_rung_ ||
-      (rung == incumbent_rung_ && record.score > incumbent_score())) {
+      (rung == incumbent_rung_ &&
+       record.score > result_.history[incumbent_].score)) {
     has_incumbent_ = true;
     incumbent_ = index;
     incumbent_rung_ = rung;
   }
-}
-
-double RunLedger::incumbent_score() const {
-  BHPO_CHECK(has_incumbent_);
-  return result_.history[incumbent_].score;
 }
 
 void RunLedger::SaveTo(CheckpointState* state) const {
@@ -114,14 +91,22 @@ Result<FinalEvaluation> EvaluateFinalConfig(const Configuration& config,
                                             const Dataset& test,
                                             EvalMetric metric,
                                             const FactoryOptions& options) {
-  BHPO_ASSIGN_OR_RETURN(ModelFactory factory,
-                        MakeModelFactory(config, options));
-  std::unique_ptr<Model> model = factory();
-  BHPO_RETURN_NOT_OK(model->Fit(train));
+  BHPO_ASSIGN_OR_RETURN(std::unique_ptr<Model> model,
+                        FitFinalModel(config, train, options));
   FinalEvaluation out;
   out.train_metric = EvaluateModel(*model, train, metric);
   out.test_metric = EvaluateModel(*model, test, metric);
   return out;
+}
+
+Result<std::unique_ptr<Model>> FitFinalModel(const Configuration& config,
+                                             const Dataset& train,
+                                             const FactoryOptions& options) {
+  BHPO_ASSIGN_OR_RETURN(ModelFactory factory,
+                        MakeModelFactory(config, options));
+  std::unique_ptr<Model> model = factory();
+  BHPO_RETURN_NOT_OK(model->Fit(train));
+  return model;
 }
 
 }  // namespace bhpo

@@ -1,12 +1,14 @@
 #ifndef BHPO_HPO_OPTIMIZER_H_
 #define BHPO_HPO_OPTIMIZER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "data/dataset.h"
+#include "hpo/config_space.h"
 #include "hpo/eval_strategy.h"
 
 namespace bhpo {
@@ -67,6 +69,41 @@ class HpoOptimizer {
   virtual std::string name() const = 0;
 };
 
+// Supplies new configurations to a schedule and learns from its results.
+// Hyperband's brackets and RandomSearch's full-budget loop both draw from
+// one: RandomConfigSampler gives Hyperband and random search, the TPE
+// sampler (bohb.h) BOHB and TPE search, the DE sampler (dehb.h) DEHB, and
+// SmacSampler (smac.h) SMAC.
+class ConfigSampler {
+ public:
+  virtual ~ConfigSampler() = default;
+
+  virtual Configuration Sample(Rng* rng) = 0;
+
+  // Called by EvaluateRung (sha.h) after every healthy evaluation, in
+  // batch order; model-based samplers learn from this.
+  virtual void Observe(const Configuration& config, double score,
+                       size_t budget) {
+    (void)config;
+    (void)score;
+    (void)budget;
+  }
+
+  virtual std::string name() const = 0;
+};
+
+class RandomConfigSampler : public ConfigSampler {
+ public:
+  explicit RandomConfigSampler(const ConfigSpace* space) : space_(space) {
+    BHPO_CHECK(space != nullptr);
+  }
+  Configuration Sample(Rng* rng) override { return space_->Sample(rng); }
+  std::string name() const override { return "random"; }
+
+ private:
+  const ConfigSpace* space_;
+};
+
 // Trains the chosen configuration on the full training set and scores it on
 // train and test — the paper's "trainAcc./testAcc." rows.
 struct FinalEvaluation {
@@ -79,6 +116,13 @@ Result<FinalEvaluation> EvaluateFinalConfig(const Configuration& config,
                                             const Dataset& test,
                                             EvalMetric metric,
                                             const FactoryOptions& options);
+
+// Fits the chosen configuration on the full training set: the model that
+// EvaluateFinalConfig scores, for callers that also keep it (the CLI's
+// --save-model).
+Result<std::unique_ptr<Model>> FitFinalModel(const Configuration& config,
+                                             const Dataset& train,
+                                             const FactoryOptions& options);
 
 // --- Rung-level graceful degradation -------------------------------------
 // A bandit optimizer must never abort a bracket because one configuration's
@@ -94,18 +138,6 @@ bool IsDemotableEvalError(const Status& status);
 // The sentinel an optimizer records for a demoted evaluation: score = -inf
 // (loses any comparison), eval_failed = true, zero budget consumed.
 EvalResult DemotedEvalResult();
-
-// Passes a successful evaluation or a non-demotable error through, and
-// converts a demotable failure into DemotedEvalResult() (logging why).
-Result<EvalResult> DemoteIfFailed(Result<EvalResult> result,
-                                  const Configuration& config);
-
-// Evaluates `config` at `budget` on its own PerEvalRng(eval_root, config,
-// budget, n) stream, through DemoteIfFailed.
-Result<EvalResult> EvaluateOrDemote(EvalStrategy* strategy,
-                                    const Configuration& config,
-                                    const Dataset& train, size_t budget,
-                                    uint64_t eval_root);
 
 // --- The run ledger --------------------------------------------------------
 // Every optimizer records its evaluations through one RunLedger, which owns
@@ -128,9 +160,6 @@ class RunLedger {
   // folds its fault counters into the report and offers it as incumbent.
   void Record(const Configuration& config, size_t rung,
               const EvalResult& eval);
-
-  // Score of the incumbent so far; requires a healthy entry.
-  double incumbent_score() const;
 
   // Copies the history, counters and faults into `state`; the rest of the
   // checkpoint is the optimizer's.

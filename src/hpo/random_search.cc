@@ -1,5 +1,7 @@
 #include "hpo/random_search.h"
 
+#include "hpo/sha.h"
+
 namespace bhpo {
 
 Result<HpoResult> RandomSearch::Optimize(const Dataset& train, Rng* rng) {
@@ -9,13 +11,13 @@ Result<HpoResult> RandomSearch::Optimize(const Dataset& train, Rng* rng) {
   // (and cache-hits) its earlier evaluation instead of re-rolling it.
   uint64_t eval_root = rng->engine()();
   for (size_t i = 0; i < num_samples_; ++i) {
-    Configuration config = space_->Sample(rng);
-    // A sample whose evaluation blows up is demoted, not fatal: random
-    // search just moves on to the next draw.
-    BHPO_ASSIGN_OR_RETURN(
-        EvalResult eval,
-        EvaluateOrDemote(strategy_, config, train, train.n(), eval_root));
-    ledger.Record(config, 0, eval);
+    // Every draw is a rung step at rung 0. A draw whose evaluation blows up
+    // is demoted, not fatal: it is recorded, never observed, and still
+    // counts toward num_samples.
+    BHPO_RETURN_NOT_OK(EvaluateRung(strategy_, {sampler_->Sample(rng)}, train,
+                                    train.n(), 0, eval_root, nullptr,
+                                    sampler_, &ledger)
+                           .status());
   }
   return std::move(ledger).Finish();
 }

@@ -30,6 +30,21 @@ size_t MinRungBudget(size_t requested, int eta, size_t max_budget) {
   return std::min(r_min, max_budget);
 }
 
+std::vector<Configuration> KeepTop(std::vector<Configuration> configs,
+                                   const std::vector<EvalResult>& evals,
+                                   size_t keep) {
+  BHPO_CHECK_EQ(configs.size(), evals.size());
+  std::vector<double> scores;
+  scores.reserve(evals.size());
+  for (const EvalResult& eval : evals) scores.push_back(eval.score);
+  std::vector<Configuration> kept;
+  kept.reserve(keep);
+  for (size_t idx : TopIndicesByScore(scores, keep)) {
+    kept.push_back(std::move(configs[idx]));
+  }
+  return kept;
+}
+
 Result<std::vector<EvalResult>> EvaluateBatch(
     EvalStrategy* strategy, const std::vector<Configuration>& configs,
     const Dataset& train, size_t budget, uint64_t eval_root,
@@ -51,11 +66,34 @@ Result<std::vector<EvalResult>> EvaluateBatch(
   results.reserve(configs.size());
   for (size_t i = 0; i < raw.size(); ++i) {
     BHPO_CHECK(raw[i].has_value());
-    BHPO_ASSIGN_OR_RETURN(EvalResult eval,
-                          DemoteIfFailed(std::move(*raw[i]), configs[i]));
-    results.push_back(std::move(eval));
+    Result<EvalResult>& result = *raw[i];
+    if (result.ok()) {
+      results.push_back(std::move(result).value());
+      continue;
+    }
+    if (!IsDemotableEvalError(result.status())) return result.status();
+    BHPO_LOG(kWarning) << "evaluation of " << configs[i].ToString()
+                       << " demoted to sentinel score: "
+                       << result.status().ToString();
+    results.push_back(DemotedEvalResult());
   }
   return results;
+}
+
+Result<std::vector<EvalResult>> EvaluateRung(
+    EvalStrategy* strategy, const std::vector<Configuration>& configs,
+    const Dataset& train, size_t budget, size_t rung, uint64_t eval_root,
+    ThreadPool* pool, ConfigSampler* sampler, RunLedger* ledger) {
+  BHPO_ASSIGN_OR_RETURN(
+      std::vector<EvalResult> evals,
+      EvaluateBatch(strategy, configs, train, budget, eval_root, pool));
+  for (size_t i = 0; i < configs.size(); ++i) {
+    if (sampler != nullptr && !evals[i].eval_failed) {
+      sampler->Observe(configs[i], evals[i].score, evals[i].budget_used);
+    }
+    ledger->Record(configs[i], rung, evals[i]);
+  }
+  return evals;
 }
 
 Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
@@ -117,20 +155,11 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
 
     BHPO_ASSIGN_OR_RETURN(
         std::vector<EvalResult> evals,
-        EvaluateBatch(strategy_, survivors, train, per_config, eval_root,
-                      options_.pool));
-    std::vector<double> scores(survivors.size());
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      scores[i] = evals[i].score;
-      ledger.Record(survivors[i], rungs_completed, evals[i]);
-    }
-
-    std::vector<size_t> kept =
-        TopIndicesByScore(scores, keep_of(survivors.size()));
-    std::vector<Configuration> next;
-    next.reserve(kept.size());
-    for (size_t idx : kept) next.push_back(std::move(survivors[idx]));
-    survivors = std::move(next);
+        EvaluateRung(strategy_, survivors, train, per_config,
+                     rungs_completed, eval_root, options_.pool, nullptr,
+                     &ledger));
+    size_t keep = keep_of(survivors.size());
+    survivors = KeepTop(std::move(survivors), evals, keep);
 
     ++rungs_completed;
     if (!options_.checkpoint.path.empty()) {
@@ -163,10 +192,9 @@ Result<HpoResult> SuccessiveHalving::Optimize(const Dataset& train, Rng* rng) {
 
   if (candidates_.size() == 1) {
     // Degenerate space: score the lone candidate at full budget.
-    BHPO_ASSIGN_OR_RETURN(EvalResult eval,
-                          EvaluateOrDemote(strategy_, survivors.front(),
-                                           train, train.n(), eval_root));
-    ledger.Record(survivors.front(), 0, eval);
+    BHPO_RETURN_NOT_OK(EvaluateRung(strategy_, survivors, train, train.n(),
+                                    0, eval_root, nullptr, nullptr, &ledger)
+                           .status());
   }
   // The winner is the last rung's best healthy entry, which is the survivor
   // whenever the survivor was not demoted; if the whole rung was, the

@@ -76,10 +76,16 @@ class SuccessiveHalving : public HpoOptimizer {
 };
 
 // Ranks `scores` descending and returns the indices of the `keep` best
-// (stable: earlier candidates win ties). Shared by SHA, Hyperband (and so
-// BOHB and DEHB) and the ASHA promotion loop (ASHA and PASHA).
+// (stable: earlier candidates win ties). Shared by the halving step
+// (KeepTop) and the ASHA promotion loop (ASHA and PASHA).
 std::vector<size_t> TopIndicesByScore(const std::vector<double>& scores,
                                       size_t keep);
+
+// The halving step of SHA and Hyperband: the `keep` configurations whose
+// results (`evals[i]` is `configs[i]`'s) score best, best first.
+std::vector<Configuration> KeepTop(std::vector<Configuration> configs,
+                                   const std::vector<EvalResult>& evals,
+                                   size_t keep);
 
 // Rung-0 budget of a Hyperband, ASHA or PASHA ladder over `max_budget`
 // instances: `requested` when non-zero, else max(20, max_budget / eta^3);
@@ -94,13 +100,22 @@ size_t MinRungBudget(size_t requested, int eta, size_t max_budget);
 // (config, budget) pair recurs — within a rung, across Hyperband brackets,
 // or across the whole run — which is what the evaluation cache exploits.
 // `eval_root` is drawn once per optimizer run from the master rng.
-// Failures go through DemoteIfFailed, in batch order: a demotable one
-// becomes a sentinel so one broken candidate never aborts the rung, a
-// non-demotable one (invalid argument) still propagates.
+// Failures are demoted in batch order: a demotable one (see
+// IsDemotableEvalError) becomes DemotedEvalResult() so one broken candidate
+// never aborts the rung, a non-demotable one (invalid argument) still
+// propagates.
 Result<std::vector<EvalResult>> EvaluateBatch(
     EvalStrategy* strategy, const std::vector<Configuration>& configs,
     const Dataset& train, size_t budget, uint64_t eval_root,
     ThreadPool* pool);
+
+// The rung step every evaluation of all nine optimizers goes through:
+// EvaluateBatch, then, in batch order, Observe on `sampler` (may be null)
+// for each healthy result and Record at `rung` for every result.
+Result<std::vector<EvalResult>> EvaluateRung(
+    EvalStrategy* strategy, const std::vector<Configuration>& configs,
+    const Dataset& train, size_t budget, size_t rung, uint64_t eval_root,
+    ThreadPool* pool, ConfigSampler* sampler, RunLedger* ledger);
 
 }  // namespace bhpo
 

@@ -1,8 +1,9 @@
 #ifndef BHPO_HPO_SMAC_H_
 #define BHPO_HPO_SMAC_H_
 
-#include "hpo/config_space.h"
-#include "hpo/optimizer.h"
+#include <vector>
+
+#include "hpo/random_search.h"
 
 namespace bhpo {
 
@@ -19,15 +20,40 @@ struct SmacOptions {
   int surrogate_trees = 25;
 };
 
-// SMAC-style sequential model-based optimization (Hutter et al. 2011;
-// SMAC3 is one of the paper's extra baselines in Section IV-B): a
-// random-forest surrogate is fit on (encoded configuration -> observed CV
-// score) pairs, and each iteration evaluates the candidate maximizing
-// expected improvement, estimated from the forest's per-tree mean/stddev.
-// Every evaluation runs at the FULL instance budget — this is the
-// non-multi-fidelity baseline the bandit methods are compared against (the
-// paper found it "performed similarly to random search" under matched time
-// budgets).
+// SMAC's configuration source (Hutter et al. 2011). The first
+// initial_random draws are uniform, and so is any draw made while no healthy
+// observation exists; demoted draws count too. Every other draw fits a
+// random-forest surrogate on the observed (encoded configuration -> CV
+// score) pairs and returns, of candidates_per_iteration uniform candidates,
+// the one with the highest expected improvement over the best observed
+// score (RunLedger's rule: the first score, then only a strictly greater
+// one), estimated from the forest's per-tree mean/stddev.
+class SmacSampler : public ConfigSampler {
+ public:
+  SmacSampler(const ConfigSpace* space, SmacOptions options = {})
+      : space_(space), options_(options) {
+    BHPO_CHECK(space != nullptr);
+  }
+
+  Configuration Sample(Rng* rng) override;
+  void Observe(const Configuration& config, double score,
+               size_t budget) override;
+  std::string name() const override { return "smac"; }
+
+ private:
+  const ConfigSpace* space_;
+  SmacOptions options_;
+  size_t draws_ = 0;
+  std::vector<std::vector<double>> encodings_;
+  std::vector<double> scores_;
+  double best_score_ = 0.0;  // Set by the first Observe.
+};
+
+// SMAC-style sequential model-based optimization (SMAC3 is one of the
+// paper's extra baselines in Section IV-B): the full-budget loop over a
+// SmacSampler. It is the non-multi-fidelity baseline the bandit methods are
+// compared against (the paper found it "performed similarly to random
+// search" under matched time budgets).
 class Smac : public HpoOptimizer {
  public:
   Smac(const ConfigSpace* space, EvalStrategy* strategy,
@@ -36,9 +62,15 @@ class Smac : public HpoOptimizer {
     BHPO_CHECK(space != nullptr && strategy != nullptr);
     BHPO_CHECK_GT(options_.num_iterations, 0u);
     BHPO_CHECK_GT(options_.initial_random, 0u);
+    BHPO_CHECK_GT(options_.surrogate_trees, 0);
   }
 
-  Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override;
+  Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override {
+    // A fresh sampler per run: the surrogate learns from this run only.
+    SmacSampler sampler(space_, options_);
+    return RandomSearch(&sampler, strategy_, options_.num_iterations)
+        .Optimize(train, rng);
+  }
 
   std::string name() const override { return "smac"; }
 

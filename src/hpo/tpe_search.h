@@ -2,6 +2,7 @@
 #define BHPO_HPO_TPE_SEARCH_H_
 
 #include "hpo/bohb.h"
+#include "hpo/random_search.h"
 
 namespace bhpo {
 
@@ -12,32 +13,31 @@ struct TpeSearchOptions {
 };
 
 // Sequential TPE search in the style of Optuna's default sampler (Akiba et
-// al. 2019), the paper's other extra baseline in Section IV-B: every
-// iteration evaluates one configuration drawn from the good/bad density
-// model at the FULL instance budget. Unlike BOHB there is no Hyperband
-// bracket structure — this isolates the model-based sampling from
-// multi-fidelity scheduling.
+// al. 2019), the paper's other extra baseline in Section IV-B: the
+// full-budget loop (RandomSearch) over the good/bad density model of
+// TpeConfigSampler, so every iteration evaluates one configuration at the
+// FULL instance budget. Unlike BOHB there is no Hyperband bracket
+// structure — this isolates the model-based sampling from multi-fidelity
+// scheduling.
 class TpeSearch : public HpoOptimizer {
  public:
   TpeSearch(const ConfigSpace* space, EvalStrategy* strategy,
             TpeSearchOptions options = {})
-      : space_(space),
-        strategy_(strategy),
-        options_(options),
-        sampler_(space, options.tpe) {
-    BHPO_CHECK(space != nullptr && strategy != nullptr);
-    BHPO_CHECK_GT(options_.num_iterations, 0u);
-  }
+      : sampler_(space, options.tpe),
+        search_(&sampler_, strategy, options.num_iterations) {}
+  // search_ points at sampler_.
+  TpeSearch(const TpeSearch&) = delete;
+  TpeSearch& operator=(const TpeSearch&) = delete;
 
-  Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override;
+  Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override {
+    return search_.Optimize(train, rng);
+  }
 
   std::string name() const override { return "tpe"; }
 
  private:
-  const ConfigSpace* space_;
-  EvalStrategy* strategy_;
-  TpeSearchOptions options_;
   TpeConfigSampler sampler_;
+  RandomSearch search_;
 };
 
 }  // namespace bhpo

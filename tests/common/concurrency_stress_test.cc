@@ -53,35 +53,6 @@ TEST(ConcurrencyStressTest, TripleNestedParallelForPool8) {
   EXPECT_EQ(count.load(), 8u * 8u * 8u);
 }
 
-TEST(ConcurrencyStressTest, SubmitStormThenWait) {
-  ThreadPool pool(8);
-  constexpr size_t kTasks = 2000;
-  std::atomic<uint64_t> count{0};
-  for (size_t i = 0; i < kTasks; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), kTasks);
-}
-
-TEST(ConcurrencyStressTest, SubmitInterleavedWithParallelFor) {
-  ThreadPool pool(8);
-  std::atomic<uint64_t> submitted{0};
-  std::atomic<uint64_t> looped{0};
-  for (size_t round = 0; round < 20; ++round) {
-    for (size_t i = 0; i < 10; ++i) {
-      pool.Submit(
-          [&submitted] { submitted.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.ParallelFor(32, [&](size_t) {
-      looped.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(submitted.load(), 20u * 10u);
-  EXPECT_EQ(looped.load(), 20u * 32u);
-}
-
 // The single-shard hammer the eval-cache counters were made atomic for:
 // 8 concurrent lanes all landing on one shard. Counter totals must add up
 // exactly once the lanes quiesce — relaxed increments lose nothing.

@@ -14,25 +14,6 @@ TEST(ThreadPoolTest, DefaultsToAtLeastOneWorker) {
   EXPECT_GE(pool.num_threads(), 1u);
 }
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsIdempotent) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(257);
@@ -86,10 +67,7 @@ TEST(ThreadPoolTest, DestructionJoinsCleanly) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
+    pool.ParallelFor(10, [&counter](size_t) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 10);
 }

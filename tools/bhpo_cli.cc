@@ -324,10 +324,13 @@ Status RunCli(int argc, char** argv) {
                         optimizer->Optimize(data.train, &rng));
   double search_seconds = watch.ElapsedSeconds();
 
+  // One fit of the winner serves both the final metrics and --save-model.
   BHPO_ASSIGN_OR_RETURN(
-      FinalEvaluation final,
-      EvaluateFinalConfig(result.best_config, data.train, data.test, metric,
-                          options.factory));
+      std::unique_ptr<Model> final_model,
+      FitFinalModel(result.best_config, data.train, options.factory));
+  FinalEvaluation final;
+  final.train_metric = EvaluateModel(*final_model, data.train, metric);
+  final.test_metric = EvaluateModel(*final_model, data.test, metric);
 
   std::printf("\nbest configuration: %s\n",
               result.best_config.ToString().c_str());
@@ -418,11 +421,6 @@ Status RunCli(int argc, char** argv) {
   }
 
   if (!save_path.empty()) {
-    BHPO_ASSIGN_OR_RETURN(ModelFactory final_factory,
-                          MakeModelFactory(result.best_config,
-                                           options.factory));
-    std::unique_ptr<Model> final_model = final_factory();
-    BHPO_RETURN_NOT_OK(final_model->Fit(data.train));
     BHPO_RETURN_NOT_OK(SaveModelToFile(*final_model, save_path));
     std::printf("saved final model to %s\n", save_path.c_str());
   }
