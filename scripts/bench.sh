@@ -42,12 +42,20 @@ workloads="$(python3 -c 'import json
 for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')"
 
 run() {  # run SIDE CHECKOUT WORKLOAD PAIR
-  local out="$runs_dir/$3.$1.$4.json"
+  local out="$runs_dir/$3.$1.$4.json" code=0
+  # The full stdout goes to the .log: its CHECK FAILED and per-search
+  # checks=FAILED lines say which check broke. The JSON summary is its last
+  # line.
   (cd "$2" && python3 perfbench/run.py --workload "$3" --seed 42 \
-      --seconds "$seconds") 2>"$out.log" | tail -n 1 >"$out"
-  if ! python3 -c 'import json, sys
-sys.exit(0 if json.load(open(sys.argv[1]))["correct"] else 1)' "$out"; then
-    echo "bench: $1 run of $3 failed its output checks (see $out.log)" >&2
+      --seconds "$seconds") >"$out.log" 2>"$out.err" || code=$?
+  tail -n 1 "$out.log" >"$out"
+  if ((code != 0)) || ! python3 -c 'import json, sys
+sys.exit(0 if json.load(open(sys.argv[1]))["correct"] else 1)' "$out" \
+      2>/dev/null; then
+    echo "bench: $1 run of $3, pair $4, failed its output checks:" \
+      "run.py exited $code" >&2
+    grep -E 'CHECK FAILED|checks=FAILED' "$out.log" >&2 || true
+    echo "bench: full output kept in $out.log and $out.err" >&2
     trap - EXIT
     exit 1
   fi

@@ -118,8 +118,9 @@ Result<TrainTestSplit> MakePaperDataset(const std::string& name,
   if (e == nullptr) {
     return Status::NotFound("unknown paper dataset '" + name + "'");
   }
-  if (scale <= 0.0) {
-    return Status::InvalidArgument("scale must be positive");
+  // NaN and inf would reach std::llround, whose result is then unspecified.
+  if (!std::isfinite(scale) || scale <= 0.0) {
+    return Status::InvalidArgument("scale must be finite and positive");
   }
   const PaperDatasetSpec& spec = e->spec;
   const GeneratorKnobs& knobs = e->knobs;

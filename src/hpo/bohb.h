@@ -60,18 +60,26 @@ class Bohb : public HpoOptimizer {
  public:
   Bohb(const ConfigSpace* space, EvalStrategy* strategy,
        HyperbandOptions hb_options = {}, TpeOptions tpe_options = {})
-      : sampler_(space, tpe_options),
-        hyperband_(&sampler_, strategy, hb_options) {}
+      : space_(space),
+        strategy_(strategy),
+        hb_options_(hb_options),
+        tpe_options_(tpe_options) {
+    BHPO_CHECK(space != nullptr && strategy != nullptr);
+  }
 
   Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override {
-    return hyperband_.Optimize(train, rng);
+    // A fresh sampler per run: the model learns from this run only.
+    TpeConfigSampler sampler(space_, tpe_options_);
+    return Hyperband(&sampler, strategy_, hb_options_).Optimize(train, rng);
   }
 
   std::string name() const override { return "bohb"; }
 
  private:
-  TpeConfigSampler sampler_;
-  Hyperband hyperband_;
+  const ConfigSpace* space_;
+  EvalStrategy* strategy_;
+  HyperbandOptions hb_options_;
+  TpeOptions tpe_options_;
 };
 
 }  // namespace bhpo

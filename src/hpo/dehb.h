@@ -68,18 +68,26 @@ class Dehb : public HpoOptimizer {
  public:
   Dehb(const ConfigSpace* space, EvalStrategy* strategy,
        HyperbandOptions hb_options = {}, DeOptions de_options = {})
-      : sampler_(space, de_options),
-        hyperband_(&sampler_, strategy, hb_options) {}
+      : space_(space),
+        strategy_(strategy),
+        hb_options_(hb_options),
+        de_options_(de_options) {
+    BHPO_CHECK(space != nullptr && strategy != nullptr);
+  }
 
   Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override {
-    return hyperband_.Optimize(train, rng);
+    // A fresh sampler per run: the population comes from this run only.
+    DeConfigSampler sampler(space_, de_options_);
+    return Hyperband(&sampler, strategy_, hb_options_).Optimize(train, rng);
   }
 
   std::string name() const override { return "dehb"; }
 
  private:
-  DeConfigSampler sampler_;
-  Hyperband hyperband_;
+  const ConfigSpace* space_;
+  EvalStrategy* strategy_;
+  HyperbandOptions hb_options_;
+  DeOptions de_options_;
 };
 
 }  // namespace bhpo

@@ -1,153 +1,71 @@
 #include "hpo/eval_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/rng.h"
 
 namespace bhpo {
 
-size_t EvalCache::KeyHash::operator()(const Key& key) const {
-  uint64_t h = MixSeed(key.config_hash, key.subset_id);
-  return static_cast<size_t>(MixSeed(h, key.fold));
+size_t EvalCache::KeyHash::operator()(const FoldKey& key) const {
+  return static_cast<size_t>(
+      MixSeed(MixSeed(key.config_hash, key.subset_id), key.fold));
 }
 
-EvalCache::EvalCache(EvalCacheOptions options) : options_(options) {
-  if (options_.shards == 0) options_.shards = 1;
-  if (options_.capacity == 0) options_.capacity = 1;
-  // A shard never holds fewer entries than its even share of the global
-  // capacity, so total residency stays within shards * ceil(capacity /
-  // shards) ~= capacity. Tests that need exact capacity accounting use
-  // shards = 1.
-  per_shard_capacity_ =
-      std::max<size_t>(1, (options_.capacity + options_.shards - 1) /
-                              options_.shards);
-  shards_.reserve(options_.shards);
-  for (size_t s = 0; s < options_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-EvalCache::Shard& EvalCache::ShardFor(const Key& key) {
-  return *shards_[KeyHash{}(key) % shards_.size()];
-}
-
-std::optional<EvalCache::Entry> EvalCache::Lookup(const Key& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
-  // Touch: move to the front of the recency list.
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->second;
-}
-
-void EvalCache::Insert(const Key& key, Entry entry) {
-  Shard& shard = ShardFor(key);
-  size_t evicted = 0;
-  bool inserted = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // Same key, deterministic computation: the value cannot differ, so
-      // this only refreshes recency.
-      it->second->second = std::move(entry);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      shard.lru.emplace_front(key, std::move(entry));
-      shard.index.emplace(key, shard.lru.begin());
-      inserted = true;
-      while (shard.index.size() > per_shard_capacity_) {
-        shard.index.erase(shard.lru.back().first);
-        shard.lru.pop_back();
-        ++evicted;
-      }
-    }
-  }
-  if (!inserted) return;
-  stats_.insertions.fetch_add(1, std::memory_order_relaxed);
-  if (evicted > 0) {
-    stats_.evictions.fetch_add(evicted, std::memory_order_relaxed);
-  }
-  // One net residency delta per insert. Publishing +1 and -evicted as two
-  // updates would let a concurrent Stats() see capacity + 1 in between. The
-  // shard held at most its capacity before this insert, so evicted <= 1:
-  // every delta is 0 or +1, and the counter never runs ahead of the true
-  // residency. (size_t arithmetic is modular, so 1 - evicted is exact.)
-  stats_.entries.fetch_add(1 - evicted, std::memory_order_relaxed);
+size_t EvalCache::KeyHash::operator()(const ResultKey& key) const {
+  return static_cast<size_t>(MixSeed(key.config_hash, key.subset_id));
 }
 
 std::optional<EvalCache::FoldScore> EvalCache::LookupFold(uint64_t config_hash,
                                                           uint64_t subset_id,
                                                           uint32_t fold) {
-  BHPO_CHECK(fold != kResultFold);
-  std::optional<Entry> entry = Lookup(Key{config_hash, subset_id, fold});
-  const FoldScore* value =
-      entry.has_value() ? std::get_if<FoldScore>(&*entry) : nullptr;
-  if (value != nullptr && value->failed && value->transient) {
-    // Transient failures are never replayed: the fold must be re-attempted,
-    // so this lookup counts as a miss.
-    value = nullptr;
-  }
-  if (value == nullptr) {
-    stats_.fold_misses.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = folds_.find(FoldKey{config_hash, subset_id, fold});
+  if (it == folds_.end()) {
+    ++stats_.fold_misses;
     return std::nullopt;
   }
-  stats_.fold_hits.fetch_add(1, std::memory_order_relaxed);
-  return *value;
+  ++stats_.fold_hits;
+  return it->second;
 }
 
 void EvalCache::InsertFold(uint64_t config_hash, uint64_t subset_id,
                            uint32_t fold, const FoldScore& value) {
-  BHPO_CHECK(fold != kResultFold);
-  Insert(Key{config_hash, subset_id, fold}, value);
+  std::lock_guard<std::mutex> lock(mu_);
+  // Same key, deterministic computation: a re-insert carries the same
+  // value.
+  folds_.insert_or_assign(FoldKey{config_hash, subset_id, fold}, value);
 }
 
 std::optional<EvalResult> EvalCache::LookupResult(uint64_t config_hash,
                                                   uint64_t subset_id) {
-  std::optional<Entry> entry =
-      Lookup(Key{config_hash, subset_id, kResultFold});
-  EvalResult* value =
-      entry.has_value() ? std::get_if<EvalResult>(&*entry) : nullptr;
-  if (value == nullptr) {
-    stats_.result_misses.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = results_.find(ResultKey{config_hash, subset_id});
+  if (it == results_.end()) {
+    ++stats_.result_misses;
     return std::nullopt;
   }
-  stats_.result_hits.fetch_add(1, std::memory_order_relaxed);
-  return std::move(*value);
+  ++stats_.result_hits;
+  return it->second;
 }
 
 void EvalCache::InsertResult(uint64_t config_hash, uint64_t subset_id,
                              const EvalResult& value) {
-  Insert(Key{config_hash, subset_id, kResultFold}, value);
+  std::lock_guard<std::mutex> lock(mu_);
+  results_.insert_or_assign(ResultKey{config_hash, subset_id}, value);
 }
 
 EvalCacheStats EvalCache::Stats() const {
-  EvalCacheStats out;
-  out.fold_hits = stats_.fold_hits.load(std::memory_order_relaxed);
-  out.fold_misses = stats_.fold_misses.load(std::memory_order_relaxed);
-  out.result_hits = stats_.result_hits.load(std::memory_order_relaxed);
-  out.result_misses = stats_.result_misses.load(std::memory_order_relaxed);
-  out.insertions = stats_.insertions.load(std::memory_order_relaxed);
-  out.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  out.entries = stats_.entries.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  EvalCacheStats out = stats_;
+  out.entries = folds_.size() + results_.size();
   return out;
 }
 
 void EvalCache::Clear() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
-  stats_.fold_hits.store(0, std::memory_order_relaxed);
-  stats_.fold_misses.store(0, std::memory_order_relaxed);
-  stats_.result_hits.store(0, std::memory_order_relaxed);
-  stats_.result_misses.store(0, std::memory_order_relaxed);
-  stats_.insertions.store(0, std::memory_order_relaxed);
-  stats_.evictions.store(0, std::memory_order_relaxed);
-  stats_.entries.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  folds_.clear();
+  results_.clear();
+  stats_ = EvalCacheStats{};
 }
 
 Result<EvalResult> CachingStrategy::Evaluate(const Configuration& config,

@@ -1,16 +1,11 @@
 #ifndef BHPO_HPO_EVAL_CACHE_H_
 #define BHPO_HPO_EVAL_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <variant>
-#include <vector>
 
 #include "common/check.h"
 #include "hpo/eval_strategy.h"
@@ -30,7 +25,7 @@ namespace bhpo {
 // draws the same subset, fold partition and model seeds, and its fold
 // scores can be memoized and replayed bit-exactly.
 //
-// Two entry granularities share one capacity-bounded store:
+// Two entry granularities, one map each:
 //  * fold entries, keyed (config hash, subset id, fold index): one CV
 //    fold's score (or its deterministic fit failure). Built-in strategies
 //    consult these through StrategyOptions::cache and only train the delta
@@ -45,17 +40,14 @@ namespace bhpo {
 // fingerprint identifies strictly more than the index list — and costs a
 // copy of the engine instead of a pass over the subset.
 //
+// The cache never evicts: a search stores a few thousand entries, and even
+// the largest CLI grid about 1e5 small fold entries (DESIGN.md §8). One
+// mutex guards both maps and the counters.
+//
 // A cache must not be shared across datasets, strategies or strategy
 // options: those are deliberately not part of the key (the decorator wraps
 // exactly one strategy, and a CLI run optimizes exactly one train set).
 // ---------------------------------------------------------------------------
-
-struct EvalCacheOptions {
-  // Maximum resident entries (fold + result combined) before LRU eviction.
-  size_t capacity = 1 << 20;
-  // Lock shards; higher = less contention under rung-parallel evaluation.
-  size_t shards = 16;
-};
 
 // Monotonic counters since construction (or the last Clear).
 struct EvalCacheStats {
@@ -63,9 +55,7 @@ struct EvalCacheStats {
   size_t fold_misses = 0;
   size_t result_hits = 0;
   size_t result_misses = 0;
-  size_t insertions = 0;
-  size_t evictions = 0;
-  size_t entries = 0;  // Currently resident.
+  size_t entries = 0;  // Fold + result entries currently stored.
 
   size_t hits() const { return fold_hits + result_hits; }
   size_t misses() const { return fold_misses + result_misses; }
@@ -81,26 +71,22 @@ struct EvalCacheStats {
 class EvalCache {
  public:
   // One memoized CV fold: its score, or the fact that its fit failed.
-  // Failure semantics: a permanent failure (failed, !transient) is served
-  // from the cache — re-running it would fail identically. A transient
-  // failure (failed && transient: retry-exhausted Unavailable, timeout) is
-  // never served: LookupFold reports a miss so the caller re-evaluates the
-  // fold. The strategies do not even insert transient failures, but the
-  // lookup-side bypass makes the semantics hold for any producer.
+  // Only deterministic outcomes are stored (permanent failures and
+  // quarantined NaN scores included); the strategies never insert a
+  // transient failure or a timeout, so every stored entry is replayable.
   struct FoldScore {
     double score = 0.0;
     bool failed = false;
-    bool transient = false;
   };
 
-  explicit EvalCache(EvalCacheOptions options = {});
+  EvalCache() = default;
 
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
   // Fold-granular entries (StrategyOptions::cache path). A discarded
-  // lookup is always a bug (it still mutates LRU order and the counters),
-  // hence [[nodiscard]].
+  // lookup is always a bug (it still counts a hit or a miss), hence
+  // [[nodiscard]].
   [[nodiscard]] std::optional<FoldScore> LookupFold(uint64_t config_hash,
                                                     uint64_t subset_id,
                                                     uint32_t fold);
@@ -118,63 +104,37 @@ class EvalCache {
   // Drops every entry and resets the counters.
   void Clear();
 
-  size_t capacity() const { return options_.capacity; }
-
  private:
-  struct Key {
+  struct FoldKey {
     uint64_t config_hash = 0;
     uint64_t subset_id = 0;
-    uint32_t fold = 0;  // kResultFold marks a whole-result entry.
+    uint32_t fold = 0;
 
-    bool operator==(const Key& other) const {
+    bool operator==(const FoldKey& other) const {
       return config_hash == other.config_hash &&
              subset_id == other.subset_id && fold == other.fold;
     }
   };
 
+  struct ResultKey {
+    uint64_t config_hash = 0;
+    uint64_t subset_id = 0;
+
+    bool operator==(const ResultKey& other) const {
+      return config_hash == other.config_hash &&
+             subset_id == other.subset_id;
+    }
+  };
+
   struct KeyHash {
-    size_t operator()(const Key& key) const;
+    size_t operator()(const FoldKey& key) const;
+    size_t operator()(const ResultKey& key) const;
   };
 
-  using Entry = std::variant<FoldScore, EvalResult>;
-
-  // Each shard is an independent LRU map: list front = most recent, and the
-  // map stores the list iterator for O(1) touch/evict.
-  struct Shard {
-    std::mutex mu;
-    std::list<std::pair<Key, Entry>> lru;
-    std::unordered_map<Key, std::list<std::pair<Key, Entry>>::iterator,
-                       KeyHash>
-        index;
-  };
-
-  static constexpr uint32_t kResultFold = 0xffffffffu;
-
-  Shard& ShardFor(const Key& key);
-  std::optional<Entry> Lookup(const Key& key);
-  void Insert(const Key& key, Entry entry);
-
-  EvalCacheOptions options_;
-  size_t per_shard_capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Monotonic counters, updated with relaxed atomics: they are
-  // observability only (nothing orders against them), and a shared stats
-  // mutex would serialize every lookup across all shards — the one point
-  // of contention the sharding exists to remove. Stats() reads are
-  // consequently not a consistent snapshot across counters; the totals
-  // are exact once the writers have quiesced (what the tests and the CLI
-  // report path need).
-  struct AtomicStats {
-    std::atomic<size_t> fold_hits{0};
-    std::atomic<size_t> fold_misses{0};
-    std::atomic<size_t> result_hits{0};
-    std::atomic<size_t> result_misses{0};
-    std::atomic<size_t> insertions{0};
-    std::atomic<size_t> evictions{0};
-    std::atomic<size_t> entries{0};
-  };
-  AtomicStats stats_;
+  mutable std::mutex mu_;
+  std::unordered_map<FoldKey, FoldScore, KeyHash> folds_;
+  std::unordered_map<ResultKey, EvalResult, KeyHash> results_;
+  EvalCacheStats stats_;  // `entries` is derived from the maps in Stats().
 };
 
 // ---------------------------------------------------------------------------

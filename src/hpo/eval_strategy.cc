@@ -118,6 +118,41 @@ void StoreComputedFolds(EvalCache* cache, uint64_t config_hash,
   }
 }
 
+// The tail both strategies share once their folds are built: the model
+// seed draw, cross-validation with the cached folds injected, and the store
+// of the folds it computed. The caller scores the returned result.
+Result<EvalResult> CrossValidateFolds(const Configuration& config,
+                                      const Dataset& train,
+                                      const FoldSet& folds, size_t budget,
+                                      uint64_t subset_id,
+                                      const StrategyOptions& options,
+                                      Rng* rng) {
+  uint64_t config_hash = config.Hash();
+  BHPO_ASSIGN_OR_RETURN(
+      FoldModelFactory factory,
+      MakeFoldModelFactory(config, PerEvalFactory(options.factory, rng)));
+  CvOptions cv_options;
+  cv_options.metric = options.metric;
+  cv_options.pool = options.cv_pool;
+  cv_options.guard = options.guard;
+  cv_options.faults = options.faults;
+  cv_options.fault_site = subset_id;
+  std::vector<bool> injected = InjectCachedFolds(
+      options.cache, config_hash, subset_id, folds.num_folds(), &cv_options);
+  BHPO_ASSIGN_OR_RETURN(
+      CvOutcome cv,
+      CrossValidate(DatasetView(train), folds, factory, cv_options));
+
+  EvalResult result;
+  result.cv = std::move(cv);
+  result.budget_used = budget;
+  result.gamma_percent =
+      100.0 * static_cast<double>(budget) / static_cast<double>(train.n());
+  StoreComputedFolds(options.cache, config_hash, subset_id, injected,
+                     &result);
+  return result;
+}
+
 }  // namespace
 
 Result<EvalResult> VanillaStrategy::Evaluate(const Configuration& config,
@@ -130,7 +165,6 @@ Result<EvalResult> VanillaStrategy::Evaluate(const Configuration& config,
   // below (subset, partition, model seeds) is a pure function of it. The
   // subset id doubles as the fault-injection site, so it is computed even
   // without a cache.
-  uint64_t config_hash = config.Hash();
   uint64_t subset_id = EvalSubsetId(*rng, budget, train.n());
 
   std::vector<size_t> subset;
@@ -155,29 +189,10 @@ Result<EvalResult> VanillaStrategy::Evaluate(const Configuration& config,
                                         rng));
   }
 
-  BHPO_ASSIGN_OR_RETURN(
-      FoldModelFactory factory,
-      MakeFoldModelFactory(config, PerEvalFactory(options_.factory, rng)));
-  CvOptions cv_options;
-  cv_options.metric = options_.metric;
-  cv_options.pool = options_.cv_pool;
-  cv_options.guard = options_.guard;
-  cv_options.faults = options_.faults;
-  cv_options.fault_site = subset_id;
-  std::vector<bool> injected = InjectCachedFolds(
-      options_.cache, config_hash, subset_id, folds.num_folds(), &cv_options);
-  BHPO_ASSIGN_OR_RETURN(
-      CvOutcome cv,
-      CrossValidate(DatasetView(train), folds, factory, cv_options));
-
-  EvalResult result;
-  result.cv = std::move(cv);
-  result.budget_used = b;
-  result.gamma_percent =
-      100.0 * static_cast<double>(b) / static_cast<double>(train.n());
+  BHPO_ASSIGN_OR_RETURN(EvalResult result,
+                        CrossValidateFolds(config, train, folds, b,
+                                           subset_id, options_, rng));
   result.score = result.cv.mean;  // Vanilla metric: mean only.
-  StoreComputedFolds(options_.cache, config_hash, subset_id, injected,
-                     &result);
   return result;
 }
 
@@ -211,7 +226,6 @@ Result<EvalResult> EnhancedStrategy::Evaluate(const Configuration& config,
   size_t b = ClampBudget(budget, train.n(), options_.num_folds);
 
   // Same identity scheme as VanillaStrategy: cache key and fault site.
-  uint64_t config_hash = config.Hash();
   uint64_t subset_id = EvalSubsetId(*rng, budget, train.n());
 
   std::vector<size_t> subset = b >= train.n()
@@ -221,31 +235,12 @@ Result<EvalResult> EnhancedStrategy::Evaluate(const Configuration& config,
   BHPO_ASSIGN_OR_RETURN(FoldSet folds,
                         GenFolds(grouping_, subset, fold_options_, rng));
 
-  BHPO_ASSIGN_OR_RETURN(
-      FoldModelFactory factory,
-      MakeFoldModelFactory(config, PerEvalFactory(options_.factory, rng)));
-  CvOptions cv_options;
-  cv_options.metric = options_.metric;
-  cv_options.pool = options_.cv_pool;
-  cv_options.guard = options_.guard;
-  cv_options.faults = options_.faults;
-  cv_options.fault_site = subset_id;
-  std::vector<bool> injected = InjectCachedFolds(
-      options_.cache, config_hash, subset_id, folds.num_folds(), &cv_options);
-  BHPO_ASSIGN_OR_RETURN(
-      CvOutcome cv,
-      CrossValidate(DatasetView(train), folds, factory, cv_options));
-
-  EvalResult result;
-  result.cv = std::move(cv);
-  result.budget_used = b;
-  result.gamma_percent =
-      100.0 * static_cast<double>(b) / static_cast<double>(train.n());
+  BHPO_ASSIGN_OR_RETURN(EvalResult result,
+                        CrossValidateFolds(config, train, folds, b,
+                                           subset_id, options_, rng));
   // Equation 3 when scoring_.use_variance is set (the default for the full
   // method); plain mean otherwise (the Figure 7 ablation).
   result.score = ScoreOutcome(result.cv, result.gamma_percent, scoring_);
-  StoreComputedFolds(options_.cache, config_hash, subset_id, injected,
-                     &result);
   return result;
 }
 

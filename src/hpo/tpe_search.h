@@ -23,21 +23,24 @@ class TpeSearch : public HpoOptimizer {
  public:
   TpeSearch(const ConfigSpace* space, EvalStrategy* strategy,
             TpeSearchOptions options = {})
-      : sampler_(space, options.tpe),
-        search_(&sampler_, strategy, options.num_iterations) {}
-  // search_ points at sampler_.
-  TpeSearch(const TpeSearch&) = delete;
-  TpeSearch& operator=(const TpeSearch&) = delete;
+      : space_(space), strategy_(strategy), options_(options) {
+    BHPO_CHECK(space != nullptr && strategy != nullptr);
+    BHPO_CHECK_GT(options_.num_iterations, 0u);
+  }
 
   Result<HpoResult> Optimize(const Dataset& train, Rng* rng) override {
-    return search_.Optimize(train, rng);
+    // A fresh sampler per run: the model learns from this run only.
+    TpeConfigSampler sampler(space_, options_.tpe);
+    return RandomSearch(&sampler, strategy_, options_.num_iterations)
+        .Optimize(train, rng);
   }
 
   std::string name() const override { return "tpe"; }
 
  private:
-  TpeConfigSampler sampler_;
-  RandomSearch search_;
+  const ConfigSpace* space_;
+  EvalStrategy* strategy_;
+  TpeSearchOptions options_;
 };
 
 }  // namespace bhpo

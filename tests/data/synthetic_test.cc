@@ -1,6 +1,8 @@
 #include "data/synthetic.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -203,6 +205,14 @@ TEST(PaperDatasetsTest, ScaleShrinksData) {
 
 TEST(PaperDatasetsTest, RejectsBadScale) {
   EXPECT_FALSE(MakePaperDataset("splice", 42, 0.0).ok());
+  for (double scale : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    Result<TrainTestSplit> split = MakePaperDataset("splice", 42, scale);
+    ASSERT_FALSE(split.ok()) << scale;
+    EXPECT_EQ(split.status().code(), StatusCode::kInvalidArgument) << scale;
+    EXPECT_NE(split.status().message().find("scale"), std::string::npos);
+  }
 }
 
 }  // namespace

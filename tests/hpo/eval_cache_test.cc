@@ -34,7 +34,6 @@ TEST(EvalCacheTest, FoldMissThenInsertThenHit) {
   EvalCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.fold_misses, 1u);
   EXPECT_EQ(stats.fold_hits, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.entries, 1u);
 }
 
@@ -79,53 +78,14 @@ TEST(EvalCacheTest, ResultEntriesAreDistinctFromFoldEntries) {
   EXPECT_EQ(stats.entries, 2u);
 }
 
-TEST(EvalCacheTest, CapacityBoundsResidencyAndCountsEvictions) {
-  EvalCacheOptions options;
-  options.capacity = 4;
-  options.shards = 1;  // Exact capacity accounting.
-  EvalCache cache(options);
-  for (uint32_t f = 0; f < 10; ++f) {
-    cache.InsertFold(1, 1, f, {0.1 * f, false});
-  }
-  EvalCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 4u);
-  EXPECT_EQ(stats.insertions, 10u);
-  EXPECT_EQ(stats.evictions, 6u);
-  // Oldest entries are gone, newest survive.
-  EXPECT_FALSE(cache.LookupFold(1, 1, 0).has_value());
-  EXPECT_FALSE(cache.LookupFold(1, 1, 5).has_value());
-  EXPECT_TRUE(cache.LookupFold(1, 1, 6).has_value());
-  EXPECT_TRUE(cache.LookupFold(1, 1, 9).has_value());
-}
-
-TEST(EvalCacheTest, LookupRefreshesLruRecency) {
-  EvalCacheOptions options;
-  options.capacity = 2;
-  options.shards = 1;
-  EvalCache cache(options);
-  cache.InsertFold(1, 1, 0, {0.0, false});
-  cache.InsertFold(1, 1, 1, {0.1, false});
-  // Touch fold 0 so fold 1 becomes least-recently-used...
-  EXPECT_TRUE(cache.LookupFold(1, 1, 0).has_value());
-  // ...then push a third entry: fold 1, not fold 0, must be evicted.
-  cache.InsertFold(1, 1, 2, {0.2, false});
-  EXPECT_TRUE(cache.LookupFold(1, 1, 0).has_value());
-  EXPECT_FALSE(cache.LookupFold(1, 1, 1).has_value());
-  EXPECT_TRUE(cache.LookupFold(1, 1, 2).has_value());
-}
-
 TEST(EvalCacheTest, ReinsertingSameKeyDoesNotGrowTheCache) {
-  EvalCacheOptions options;
-  options.capacity = 8;
-  options.shards = 1;
-  EvalCache cache(options);
+  EvalCache cache;
   for (int rep = 0; rep < 5; ++rep) {
     cache.InsertFold(1, 1, 0, {0.5, false});
+    cache.InsertResult(1, 1, EvalResult{});
   }
-  EvalCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.insertions, 1u);  // Re-inserts only refresh recency.
-  EXPECT_EQ(stats.evictions, 0u);
+  // One fold entry and one result entry, however often they are stored.
+  EXPECT_EQ(cache.Stats().entries, 2u);
 }
 
 TEST(EvalCacheTest, ClearDropsEntriesAndResetsCounters) {
@@ -136,7 +96,6 @@ TEST(EvalCacheTest, ClearDropsEntriesAndResetsCounters) {
   EXPECT_FALSE(cache.LookupFold(1, 1, 0).has_value());
   EvalCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.insertions, 0u);
   EXPECT_EQ(stats.fold_hits, 0u);
   EXPECT_EQ(stats.fold_misses, 1u);  // The post-Clear miss above.
 }
@@ -154,17 +113,12 @@ TEST(EvalCacheTest, HitRateAggregatesBothGranularities) {
 }
 
 // Many threads inserting and looking up overlapping keys: no crashes, no
-// lost values, residency stays within capacity. Run under the sanitizer
-// preset (scripts/check.sh) this also proves data-race freedom on the
-// shard maps and the stats block.
+// lost values, every distinct key stored once. Run under the sanitizer
+// presets (scripts/check.sh) this also proves data-race freedom on the maps
+// and the counters.
 TEST(EvalCacheTest, ConcurrentInsertAndLookupAreSafe) {
   constexpr size_t kKeys = 17 * 5 * 3;
-  EvalCacheOptions options;
-  options.shards = 4;
-  // Each shard holds capacity / shards entries, and the keys do not hash
-  // evenly across shards, so every shard gets room for the whole keyspace.
-  options.capacity = options.shards * 256;
-  EvalCache cache(options);
+  EvalCache cache;
   ThreadPool pool(8);
   constexpr size_t kOps = 2000;
   pool.ParallelFor(kOps, [&](size_t i) {
@@ -175,14 +129,12 @@ TEST(EvalCacheTest, ConcurrentInsertAndLookupAreSafe) {
     cache.InsertFold(config, subset, fold, {score, false});
     std::optional<EvalCache::FoldScore> hit =
         cache.LookupFold(config, subset, fold);
-    // The key was just inserted and no shard can overflow, so it cannot
-    // have been evicted.
+    // The key was just inserted, and the cache never evicts.
     ASSERT_TRUE(hit.has_value());
     EXPECT_DOUBLE_EQ(hit->score, score);
   });
   EvalCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, kKeys);
-  EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.fold_hits, kOps);
 }
 
@@ -440,21 +392,9 @@ TEST(CacheTransparencyTest, BohbPool8) {
 
 // ---------------------------------------------------------------------------
 // Failure semantics: permanent failures are memoized (re-running them would
-// fail identically), transient failures are not (a retry may succeed) —
-// at the raw store, the fold-cache path and the CachingStrategy decorator.
+// fail identically), transient failures are not (a retry may succeed) — on
+// the fold-cache path and in the CachingStrategy decorator.
 // ---------------------------------------------------------------------------
-
-TEST(EvalCacheFailureTest, TransientFailedFoldEntryIsAMiss) {
-  EvalCache cache;
-  cache.InsertFold(1, 2, 0, {0.0, true, /*transient=*/true});
-  // Lookup-side bypass: even an inserted transient failure is never served.
-  EXPECT_FALSE(cache.LookupFold(1, 2, 0).has_value());
-
-  cache.InsertFold(1, 2, 1, {0.0, true, /*transient=*/false});
-  std::optional<EvalCache::FoldScore> hit = cache.LookupFold(1, 2, 1);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->failed);
-}
 
 Dataset FailureData() {
   BlobsSpec spec;
@@ -500,7 +440,7 @@ TEST(EvalCacheFailureTest, TransientFoldFailuresAreNeverMemoized) {
     EXPECT_TRUE(fold.transient_failure);
   }
   // Nothing was stored: a transient outcome must not be replayable.
-  EXPECT_EQ(cache.Stats().insertions, 0u);
+  EXPECT_EQ(cache.Stats().entries, 0u);
 
   // Next lookup of the same evaluation re-runs every fold and recovers.
   EvalResult recovered = EvalWithFaults(data, &cache, &clean);
@@ -530,7 +470,7 @@ TEST(EvalCacheFailureTest, PermanentFoldFailuresAreServedFromCache) {
     EXPECT_EQ(fold.status, FoldStatus::kFailed);
     EXPECT_FALSE(fold.transient_failure);
   }
-  EXPECT_EQ(cache.Stats().insertions, 5u);
+  EXPECT_EQ(cache.Stats().entries, 5u);
 
   // Replayed without re-running the doomed fits: a deterministic failure
   // is as cacheable as a score.
@@ -550,7 +490,7 @@ TEST(EvalCacheFailureTest, QuarantinedFoldsReplayAsQuarantined) {
   EvalCache cache;
   EvalResult first = EvalWithFaults(data, &cache, &nan_scores);
   EXPECT_EQ(first.cv.quarantined_folds, 5u);
-  EXPECT_EQ(cache.Stats().insertions, 5u);
+  EXPECT_EQ(cache.Stats().entries, 5u);
 
   // The stored NaN is re-quarantined on replay — it reaches neither the
   // fold_scores vector nor mu/sigma.
@@ -585,7 +525,7 @@ TEST(EvalCacheFailureTest, CachingStrategyDoesNotMemoizeTransientFailures) {
   EXPECT_FALSE(first.cache_result_hit);
   EXPECT_EQ(first.cv.failed_folds, 5u);
   // The transient-failed result was not stored...
-  EXPECT_EQ(cache.Stats().insertions, 0u);
+  EXPECT_EQ(cache.Stats().entries, 0u);
 
   // ...so the identical evaluation misses and re-runs the inner strategy.
   Rng second_rng = PerEvalRng(88, config, 40, data.n());

@@ -206,6 +206,42 @@ TEST(OptimizerGoldenTest, FakeTpe) {
   ExpectGolden(tpe.Optimize(env.data, &rng), 0xd7d93bcd29f25cfcull);
 }
 
+// A second Optimize on the same object must not inherit the first run's
+// sampler state: equal seeds give equal searches.
+void ExpectRerunMatches(HpoOptimizer* optimizer, const Dataset& data,
+                        uint64_t seed) {
+  Rng first_rng(seed);
+  Result<HpoResult> first = optimizer->Optimize(data, &first_rng);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  Rng second_rng(seed);
+  Result<HpoResult> second = optimizer->Optimize(data, &second_rng);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(Hex(Digest(second.value())), Hex(Digest(first.value())));
+}
+
+TEST(OptimizerGoldenTest, FakeBohbRerunMatchesFirstRun) {
+  FakeEnv env;
+  TpeOptions tpe;
+  tpe.min_points = 4;
+  Bohb bohb(&env.space, &env.strategy, HyperbandOptions(), tpe);
+  ExpectRerunMatches(&bohb, env.data, 103);
+}
+
+TEST(OptimizerGoldenTest, FakeDehbRerunMatchesFirstRun) {
+  FakeEnv env;
+  Dehb dehb(&env.space, &env.strategy);
+  ExpectRerunMatches(&dehb, env.data, 104);
+}
+
+TEST(OptimizerGoldenTest, FakeTpeRerunMatchesFirstRun) {
+  FakeEnv env;
+  TpeSearchOptions options;
+  options.num_iterations = 20;
+  options.tpe.min_points = 6;
+  TpeSearch tpe(&env.space, &env.strategy, options);
+  ExpectRerunMatches(&tpe, env.data, 109);
+}
+
 // --- A tiny real MLP search through EnhancedStrategy ------------------------
 
 struct RealEnv {

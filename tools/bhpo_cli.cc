@@ -52,10 +52,8 @@ output options:
   --json PATH            write a JSON run summary (scores, timings and
                          evaluation-cache hit/miss counters)
 
-cache options:
-  --cache N              evaluation-cache capacity in entries; repeated
-                         (config, budget) evaluations replay cached fold
-                         scores bit-exactly. 0 disables (default: 1048576)
+Repeated (config, budget) evaluations always replay cached fold scores and
+results bit-exactly; the cache changes no result, only the time.
 
 fault-tolerance options:
   --fault SPEC           deterministic fault-injection profile, e.g.
@@ -197,19 +195,10 @@ Status RunCli(int argc, char** argv) {
   // rung and CV folds within each evaluation (ParallelFor is nested-safe).
   options.cv_pool = pool.get();
 
-  BHPO_ASSIGN_OR_RETURN(int cache_capacity, flags.GetInt("cache", 1 << 20));
-  if (cache_capacity < 0) {
-    return Status::InvalidArgument("--cache must be >= 0");
-  }
-  std::unique_ptr<EvalCache> cache;
-  if (cache_capacity > 0) {
-    EvalCacheOptions cache_options;
-    cache_options.capacity = static_cast<size_t>(cache_capacity);
-    cache = std::make_unique<EvalCache>(cache_options);
-  }
   // Fold-level reuse inside the strategy; whole-result reuse via the
   // decorator below. Both layers share the one cache and its counters.
-  options.cache = cache.get();
+  EvalCache cache;
+  options.cache = &cache;
 
   // ---- fault tolerance ----
   // --fault builds an explicit injector that overrides the BHPO_FAULT
@@ -269,12 +258,8 @@ Status RunCli(int argc, char** argv) {
   } else {
     strategy = std::make_unique<VanillaStrategy>(options);
   }
-  std::unique_ptr<CachingStrategy> caching;
-  EvalStrategy* eval = strategy.get();
-  if (cache != nullptr) {
-    caching = std::make_unique<CachingStrategy>(strategy.get(), cache.get());
-    eval = caching.get();
-  }
+  CachingStrategy caching(strategy.get(), &cache);
+  EvalStrategy* eval = &caching;
 
   std::string json_path = flags.GetString("json", "");
   BHPO_RETURN_NOT_OK(flags.CheckUnrecognized());
@@ -354,17 +339,13 @@ Status RunCli(int argc, char** argv) {
         faults.quarantined_folds, faults.timed_out_folds,
         faults.fold_retries);
   }
-  EvalCacheStats cache_stats;
-  if (cache != nullptr) {
-    cache_stats = cache->Stats();
-    std::printf(
-        "cache: %zu fold hits / %zu fold misses, %zu result hits / %zu "
-        "result misses (hit rate %.1f%%, %zu entries, %zu evicted)\n",
-        cache_stats.fold_hits, cache_stats.fold_misses,
-        cache_stats.result_hits, cache_stats.result_misses,
-        100.0 * cache_stats.hit_rate(), cache_stats.entries,
-        cache_stats.evictions);
-  }
+  EvalCacheStats cache_stats = cache.Stats();
+  std::printf(
+      "cache: %zu fold hits / %zu fold misses, %zu result hits / %zu "
+      "result misses (hit rate %.1f%%, %zu entries)\n",
+      cache_stats.fold_hits, cache_stats.fold_misses, cache_stats.result_hits,
+      cache_stats.result_misses, 100.0 * cache_stats.hit_rate(),
+      cache_stats.entries);
 
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -397,9 +378,6 @@ Status RunCli(int argc, char** argv) {
     std::fprintf(out, "    \"fold_retries\": %zu\n", faults.fold_retries);
     std::fprintf(out, "  },\n");
     std::fprintf(out, "  \"cache\": {\n");
-    std::fprintf(out, "    \"enabled\": %s,\n",
-                 cache != nullptr ? "true" : "false");
-    std::fprintf(out, "    \"capacity\": %d,\n", cache_capacity);
     std::fprintf(out, "    \"fold_hits\": %zu,\n", cache_stats.fold_hits);
     std::fprintf(out, "    \"fold_misses\": %zu,\n",
                  cache_stats.fold_misses);
@@ -407,8 +385,6 @@ Status RunCli(int argc, char** argv) {
                  cache_stats.result_hits);
     std::fprintf(out, "    \"result_misses\": %zu,\n",
                  cache_stats.result_misses);
-    std::fprintf(out, "    \"insertions\": %zu,\n", cache_stats.insertions);
-    std::fprintf(out, "    \"evictions\": %zu,\n", cache_stats.evictions);
     std::fprintf(out, "    \"entries\": %zu,\n", cache_stats.entries);
     std::fprintf(out, "    \"hit_rate\": %.6f\n", cache_stats.hit_rate());
     std::fprintf(out, "  }\n");
