@@ -9,12 +9,12 @@
 // two builds that agree on it ran the same floating-point operations, so a
 // speedup claim can be checked for bit-identity in the same run. The
 // checksum does not depend on the matmul tile width; the `ms` cells do, so
-// the JSON names the width that ran ("sse2" or "avx2").
+// the JSON names the width that ran ("sse2", "avx2" or "avx512").
 //
 //   micro_mlp_fit [--reps 5] [--max-iter 40] [--out BENCH_mlp_fit.json]
 //
 // Emits machine-readable JSON on stdout (and to --out):
-//   {"max_iter":..,"reps":..,"tile":"sse2"|"avx2","cells":[{"dataset":..,"solver":..,"rows":..,
+//   {"max_iter":..,"reps":..,"tile":"sse2"|"avx2"|"avx512","cells":[{"dataset":..,"solver":..,"rows":..,
 //    "ms":..,"iterations":..,"loss_bits":".."},..],"loss_checksum":".."}
 
 #include <algorithm>

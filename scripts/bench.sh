@@ -13,8 +13,14 @@
 #
 # Appends one entry to BENCH_e2e.json at the repo root: per workload and
 # end-to-end metric, the median and interquartile range of each side, the
-# median change in percent and the number of pairs the change won.
-# Each perfbench build goes to the .bench_build/ of its own checkout.
+# median change in percent and the number of pairs the change won. After the
+# pairs, one `--trace 1` run per side and workload records the per-layer
+# figures that show where a gain landed (ml.fit_rows_per_s, ml.fit_share,
+# pool.utilization) under "traced". The same commit runs a different matmul
+# tile on different CPUs, so the entry's "host" block names the tile width
+# each side dispatched to on this host, as bench/micro_mlp_fit reports it;
+# entries from different hosts compare only at equal widths.
+# Each build goes to the .bench_build/ of its own checkout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +68,19 @@ sys.exit(0 if json.load(open(sys.argv[1]))["correct"] else 1)' "$out" \
   echo "bench: $3 pair $4 $1 done" >&2
 }
 
+tile() {  # tile CHECKOUT: the matmul tile width the checkout dispatches to
+  local dir="$1/.bench_build/micro"
+  { cmake -S "$1" -B "$dir" -DCMAKE_BUILD_TYPE=Release \
+        -DBHPO_BUILD_TESTS=OFF -DBHPO_BUILD_EXAMPLES=OFF >&2 &&
+      cmake --build "$dir" --target micro_mlp_fit -j4 >&2 &&
+      "$dir/bench/micro_mlp_fit" --reps 1 --max-iter 1 --out /dev/null \
+        2>/dev/null | python3 -c 'import json, sys
+print(json.load(sys.stdin).get("tile", "unknown"))'; } || echo unknown
+}
+parent_tile="$(tile "$parent_dir")"
+change_tile="$(tile .)"
+echo "bench: tile $parent_tile (parent), $change_tile (change)" >&2
+
 for workload in $workloads; do
   for ((pair = 0; pair < pairs; ++pair)); do
     # Alternate which side goes first, so neither always runs warm.
@@ -75,11 +94,31 @@ for workload in $workloads; do
   done
 done
 
-python3 - "$runs_dir" "$parent_sha" "$change_sha" "$pairs" "$seconds" <<'EOF'
+traced() {  # traced SIDE CHECKOUT WORKLOAD
+  local out="$runs_dir/$3.$1.traced.json" code=0
+  (cd "$2" && python3 perfbench/run.py --workload "$3" --seed 42 \
+      --seconds "$seconds" --trace 1) >"$out.log" 2>"$out.err" || code=$?
+  tail -n 1 "$out.log" >"$out"
+  if ((code != 0)); then
+    echo "bench: traced $1 run of $3 failed: run.py exited $code" >&2
+    echo "bench: full output kept in $out.log and $out.err" >&2
+    trap - EXIT
+    exit 1
+  fi
+  echo "bench: $3 traced $1 done" >&2
+}
+
+for workload in $workloads; do
+  traced parent "$parent_dir" "$workload"
+  traced change . "$workload"
+done
+
+python3 - "$runs_dir" "$parent_sha" "$change_sha" "$pairs" "$seconds" \
+    "$parent_tile" "$change_tile" <<'EOF'
 import datetime, json, os, statistics, sys
 from pathlib import Path
 
-runs, parent, change, pairs, seconds = sys.argv[1:6]
+runs, parent, change, pairs, seconds, parent_tile, change_tile = sys.argv[1:8]
 pairs = int(pairs)
 manifest = json.load(open("BENCHMARK.json"))
 
@@ -109,6 +148,18 @@ for w in manifest["workloads"]:
         }
     workloads[name] = metrics
 
+# The per-layer figures of one traced run per side.
+TRACED = ("ml.fit_rows_per_s", "ml.fit_share", "pool.utilization")
+traced = {}
+for w in manifest["workloads"]:
+    name = w["name"]
+    traced[name] = {}
+    for s in ("parent", "change"):
+        result = json.load(open(Path(runs) / f"{name}.{s}.traced.json"))
+        if not result["correct"]:
+            sys.exit(f"bench: the traced {s} run of {name} failed its checks")
+        traced[name][s] = {k: result["metrics"][k]["value"] for k in TRACED}
+
 cpu = next((line.split(":", 1)[1].strip()
             for line in open("/proc/cpuinfo") if line.startswith("model name")),
            "unknown")
@@ -117,8 +168,10 @@ entry = {
         timespec="seconds"),
     "parent": parent, "change": change,
     "pairs": pairs, "seconds": float(seconds), "seed": 42,
-    "host": {"cpu": cpu, "nproc": os.cpu_count()},
+    "host": {"cpu": cpu, "nproc": os.cpu_count(), "tile": change_tile,
+             "parent_tile": parent_tile},
     "workloads": workloads,
+    "traced": traced,
 }
 path = Path("BENCH_e2e.json")
 history = json.loads(path.read_text()) if path.is_file() else []
@@ -130,4 +183,8 @@ for name, metrics in workloads.items():
         print(f"{name:28s} {key:12s} {m['parent']['median']:12.4g} -> "
               f"{m['change']['median']:12.4g} {pct:>8s}  "
               f"wins {m['wins']}/{pairs}")
+for name, sides in traced.items():
+    for key in TRACED:
+        print(f"{name:28s} {key:18s} traced {sides['parent'][key]:10.4g} -> "
+              f"{sides['change'][key]:10.4g}")
 EOF

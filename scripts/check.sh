@@ -8,8 +8,9 @@
 #   3. clang-tidy       bugprone-*/concurrency-*/performance-* profile
 #                       (skipped with a note when clang-tidy is not installed)
 #   4. ASan+UBSan       cache + thread-pool + gather/tree-golden suites, the
-#                       matmul kernels at both tile widths (the 4-lane
-#                       tile's unaligned edge loads), the MLP goldens, every
+#                       matmul kernels at every tile width (the 4-lane
+#                       tile's unaligned edge loads, the 8-lane tile's
+#                       masked ones), the MLP goldens, every
 #                       optimizer (suites + goldens), the CSV/LibSVM loader
 #                       suite, fold construction and grouping (GenFolds,
 #                       BuildGrouping, the k-fold builders) and the
@@ -21,7 +22,16 @@
 #                       BHPO_FAULT storm — every bandit must finish and
 #                       report honest fault counters
 #
+# or, with --bench, only the noise-aware perf gate:
+#
+#   bench               scripts/bench_gate.py over the newest BENCH_e2e.json
+#                       entry (runs no benchmark): fails when some workload's
+#                       end-to-end median is worse than the parent's by more
+#                       than its BENCHMARK.json bound and the two
+#                       interquartile ranges do not overlap
+#
 # Usage: scripts/check.sh [--fast] [--skip-asan] [--skip-tsan] [--faults]
+#        scripts/check.sh --bench
 #   --fast       lint + tier-1 only (skips every sanitizer rebuild and tidy)
 #   --skip-asan  skip the ASan pass
 #   --skip-tsan  skip the TSan pass
@@ -29,6 +39,7 @@
 #                fault-designed suites run under BHPO_FAULT: injecting into
 #                the whole tier-1 run would (by design) break its bit-exact
 #                determinism assertions.
+#   --bench      only run the perf gate above and exit (builds nothing)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,15 +47,22 @@ run_asan=1
 run_tsan=1
 run_tidy=1
 run_faults=0
+run_bench=0
 for arg in "$@"; do
   case "$arg" in
     --fast) run_asan=0; run_tsan=0; run_tidy=0 ;;
     --skip-asan) run_asan=0 ;;
     --skip-tsan) run_tsan=0 ;;
     --faults) run_faults=1 ;;
+    --bench) run_bench=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
+
+if [[ "$run_bench" == 1 ]]; then
+  echo "== bench: noise-aware gate over the newest BENCH_e2e.json entry =="
+  exec python3 scripts/bench_gate.py BENCH_e2e.json
+fi
 
 jobs="$(nproc 2>/dev/null || echo 4)"
 
@@ -91,7 +109,8 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/bhpo_data_test --gtest_filter='GatherBitExact*'
   # Matmul kernels at every tile width the CPU has, on the 1..123-column
   # edge widths: an unaligned vector load past the end of a row shows up
-  # here. The leading * also matches the TileWidths/ parameterized suite.
+  # here, and the sentinel test catches a masked 8-lane store past the last
+  # row. The leading * also matches the TileWidths/ parameterized suite.
   ./build-asan/tests/bhpo_common_test --gtest_filter='*MatrixKernels*:Matrix*'
   ./build-asan/tests/bhpo_ml_test \
     --gtest_filter='TreeLayoutBitExact*:AllCells/MlpGolden*'

@@ -7,12 +7,13 @@
 
 #include "common/gather.h"
 
-// The 4-lane tile is x86-64 only; elsewhere the 2-lane body is the one
-// width, and the compiler maps its vectors onto whatever the target has.
+// The 4- and 8-lane tiles are x86-64 only; elsewhere the 2-lane body is the
+// one width, and the compiler maps its vectors onto whatever the target has.
 #if defined(__x86_64__)
-#define BHPO_TILE_AVX2 1
+#define BHPO_TILE_X86 1
+#include <immintrin.h>
 #else
-#define BHPO_TILE_AVX2 0
+#define BHPO_TILE_X86 0
 #endif
 
 namespace bhpo {
@@ -83,13 +84,15 @@ std::string Shape(ConstMatrixView m) {
 // which compiles to unaligned vector moves.
 typedef double Lanes2 __attribute__((vector_size(16)));
 typedef double Lanes4 __attribute__((vector_size(32)));
+typedef double Lanes8 __attribute__((vector_size(64)));
 
 template <typename V>
 constexpr int kLanes = sizeof(V) / sizeof(double);
 
 // Everything below is always_inline: a width's kernels are compiled inside
 // its entry points, so the 4-lane body inherits their target("avx2") and
-// becomes 256-bit code, while the 2-lane body stays baseline SSE2.
+// becomes 256-bit code, the 8-lane one inherits target("avx512f"), and the
+// 2-lane body stays baseline SSE2.
 
 // True when every entry is finite. x - x is +0.0 for finite x and NaN for
 // Inf or NaN, so a lane that ever compares unequal to itself saw one.
@@ -222,7 +225,7 @@ void TiledProductSse2(const double* a, size_t a_row, size_t a_k, size_t rows,
   TiledProduct<Lanes2>(a, a_row, a_k, rows, b, out);
 }
 
-#if BHPO_TILE_AVX2
+#if BHPO_TILE_X86
 // AVX2 and not FMA: a fused multiply-add rounds once where the reference
 // rounds twice.
 [[gnu::target("avx2")]] bool AllFiniteAvx2(ConstMatrixView m) {
@@ -234,20 +237,135 @@ void TiledProductSse2(const double* a, size_t a_row, size_t a_k, size_t rows,
                                               MatrixView out) {
   TiledProduct<Lanes4>(a, a_row, a_k, rows, b, out);
 }
+
+// The 8-lane tile covers a whole block of up to kAvx512Block columns in one
+// k-loop: R rows of V zmm accumulators, the last vector loaded and stored
+// under `tail`, so a 30- or 50-column layer never drops into narrow tails
+// with few accumulators. Lanes outside `tail` load as +0.0, may compute
+// anything, and are never stored. AVX-512F has a fused multiply-add too;
+// -ffp-contract=off keeps the mul and the add below two roundings.
+constexpr size_t kAvx512Block = 56;
+
+template <int R, int V>
+[[gnu::always_inline, gnu::target("avx512f")]] inline void TileAvx512(
+    const double* a, size_t a_row, size_t a_k, const double* b, size_t ldb,
+    size_t depth, __mmask8 tail, double* o, size_t ldo) {
+  __m512d acc[R * V];
+#pragma GCC unroll 32
+  for (int i = 0; i < R * V; ++i) acc[i] = _mm512_setzero_pd();
+  for (size_t k = 0; k < depth; ++k) {
+    const double* bk = b + k * ldb;
+    __m512d bv[V];
+#pragma GCC unroll 8
+    for (int v = 0; v + 1 < V; ++v) bv[v] = _mm512_loadu_pd(bk + 8 * v);
+    bv[V - 1] = _mm512_maskz_loadu_pd(tail, bk + 8 * (V - 1));
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      __m512d ar = _mm512_set1_pd(a[r * a_row + k * a_k]);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        acc[r * V + v] =
+            _mm512_add_pd(acc[r * V + v], _mm512_mul_pd(ar, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v + 1 < V; ++v) {
+      _mm512_storeu_pd(o + r * ldo + 8 * v, acc[r * V + v]);
+    }
+    _mm512_mask_storeu_pd(o + r * ldo + 8 * (V - 1), tail,
+                          acc[r * V + V - 1]);
+  }
+}
+
+// Every row of one V-vector column block: 8-row tiles while V <= 3 (8 to
+// 24 accumulators), 4-row tiles from V = 4 (16 to 28, which with the B
+// vectors still fit the 32 zmm registers), then 4-, 2- and 1-row
+// remainders.
+template <int V>
+[[gnu::always_inline, gnu::target("avx512f")]] inline void TileRowsAvx512(
+    const double* a, size_t a_row, size_t a_k, const double* b, size_t ldb,
+    size_t depth, size_t rows, __mmask8 tail, double* o, size_t ldo) {
+  constexpr int kR = V <= 3 ? 8 : 4;
+  size_t i = 0;
+  for (; i + kR <= rows; i += kR) {
+    TileAvx512<kR, V>(a + i * a_row, a_row, a_k, b, ldb, depth, tail,
+                      o + i * ldo, ldo);
+  }
+  if constexpr (kR > 4) {
+    if (i + 4 <= rows) {
+      TileAvx512<4, V>(a + i * a_row, a_row, a_k, b, ldb, depth, tail,
+                       o + i * ldo, ldo);
+      i += 4;
+    }
+  }
+  if (i + 2 <= rows) {
+    TileAvx512<2, V>(a + i * a_row, a_row, a_k, b, ldb, depth, tail,
+                     o + i * ldo, ldo);
+    i += 2;
+  }
+  if (i < rows) {
+    TileAvx512<1, V>(a + i * a_row, a_row, a_k, b, ldb, depth, tail,
+                     o + i * ldo, ldo);
+  }
+}
+
+[[gnu::target("avx512f")]] bool AllFiniteAvx512(ConstMatrixView m) {
+  return AllFiniteLanes<Lanes8>(m);
+}
+[[gnu::target("avx512f")]] void TiledProductAvx512(const double* a,
+                                                   size_t a_row, size_t a_k,
+                                                   size_t rows,
+                                                   ConstMatrixView b,
+                                                   MatrixView out) {
+  const size_t cols = b.cols, depth = b.rows, ldb = b.cols, ldo = out.cols;
+  for (size_t j = 0; j < cols; j += kAvx512Block) {
+    size_t width = std::min(kAvx512Block, cols - j);
+    int vecs = static_cast<int>((width + 7) / 8);
+    auto tail = static_cast<__mmask8>(0xFF >> (8 * vecs - width));
+    const double* bj = b.data + j;
+    double* oj = out.data + j;
+    switch (vecs) {
+      case 1:
+        TileRowsAvx512<1>(a, a_row, a_k, bj, ldb, depth, rows, tail, oj, ldo);
+        break;
+      case 2:
+        TileRowsAvx512<2>(a, a_row, a_k, bj, ldb, depth, rows, tail, oj, ldo);
+        break;
+      case 3:
+        TileRowsAvx512<3>(a, a_row, a_k, bj, ldb, depth, rows, tail, oj, ldo);
+        break;
+      case 4:
+        TileRowsAvx512<4>(a, a_row, a_k, bj, ldb, depth, rows, tail, oj, ldo);
+        break;
+      case 5:
+        TileRowsAvx512<5>(a, a_row, a_k, bj, ldb, depth, rows, tail, oj, ldo);
+        break;
+      case 6:
+        TileRowsAvx512<6>(a, a_row, a_k, bj, ldb, depth, rows, tail, oj, ldo);
+        break;
+      default:
+        TileRowsAvx512<7>(a, a_row, a_k, bj, ldb, depth, rows, tail, oj, ldo);
+        break;
+    }
+  }
+}
 #endif
 
 const TileKernels& KernelsFor(internal::TileWidth width) {
   static constexpr TileKernels kSse2 = {AllFiniteSse2, TiledProductSse2};
-#if BHPO_TILE_AVX2
+  BHPO_CHECK(internal::TileWidthSupported(width))
+      << "the " << internal::TileWidthName(width)
+      << " tile needs a CPU (and a build) that has it";
+#if BHPO_TILE_X86
   static constexpr TileKernels kAvx2 = {AllFiniteAvx2, TiledProductAvx2};
-  if (width == internal::TileWidth::kAvx2) {
-    BHPO_CHECK(internal::TileWidthSupported(width))
-        << "the avx2 tile needs a CPU with AVX2";
-    return kAvx2;
-  }
+  static constexpr TileKernels kAvx512 = {AllFiniteAvx512,
+                                          TiledProductAvx512};
+  if (width == internal::TileWidth::kAvx512) return kAvx512;
+  if (width == internal::TileWidth::kAvx2) return kAvx2;
 #endif
-  BHPO_CHECK(width == internal::TileWidth::kSse2)
-      << "no avx2 tile in this build";
   return kSse2;
 }
 
@@ -257,25 +375,41 @@ namespace internal {
 
 bool TileWidthSupported(TileWidth width) {
   if (width == TileWidth::kSse2) return true;
-#if BHPO_TILE_AVX2
-  // __builtin_cpu_supports also requires the OS to save the YMM state.
+#if BHPO_TILE_X86
+  // __builtin_cpu_supports also requires the OS to save the YMM (and, for
+  // avx512f, the ZMM and mask) state.
   static const bool avx2 = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") != 0;
   }();
-  return avx2;
+  static const bool avx512 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return width == TileWidth::kAvx512 ? avx512 : avx2;
 #else
   return false;
 #endif
 }
 
 TileWidth DispatchedTileWidth() {
-  return TileWidthSupported(TileWidth::kAvx2) ? TileWidth::kAvx2
-                                              : TileWidth::kSse2;
+  static const TileWidth width =
+      TileWidthSupported(TileWidth::kAvx512) ? TileWidth::kAvx512
+      : TileWidthSupported(TileWidth::kAvx2) ? TileWidth::kAvx2
+                                             : TileWidth::kSse2;
+  return width;
 }
 
 const char* TileWidthName(TileWidth width) {
-  return width == TileWidth::kAvx2 ? "avx2" : "sse2";
+  switch (width) {
+    case TileWidth::kAvx512:
+      return "avx512";
+    case TileWidth::kAvx2:
+      return "avx2";
+    case TileWidth::kSse2:
+      break;
+  }
+  return "sse2";
 }
 
 void MatMulInto(TileWidth width, ConstMatrixView a, ConstMatrixView b,

@@ -132,15 +132,17 @@ void MatMulTransposeInto(ConstMatrixView a, ConstMatrixView b, MatrixView bt,
 
 namespace internal {
 
-// The register tile comes in two widths with identical results: 2 lanes
-// (SSE2, baseline x86-64) and 4 lanes (AVX2 without FMA). The kernels above
-// run the widest one the CPU supports, chosen once per process. Exposed so
-// bit-identity tests can run each width and benches can report which ran.
-enum class TileWidth { kSse2, kAvx2 };
+// The register tile comes in three widths with identical results: 2 lanes
+// (SSE2, baseline x86-64), 4 lanes (AVX2 without FMA) and 8 lanes
+// (AVX-512F without FMA, masked to cover a whole layer width per pass). The
+// kernels above run the widest one the CPU supports, chosen once per
+// process. Exposed so bit-identity tests can run each width and benches can
+// report which ran.
+enum class TileWidth { kSse2, kAvx2, kAvx512 };
 
 bool TileWidthSupported(TileWidth width);
 TileWidth DispatchedTileWidth();
-// "sse2" or "avx2".
+// "sse2", "avx2" or "avx512".
 const char* TileWidthName(TileWidth width);
 
 // The kernels above at an explicit width, which must be supported.

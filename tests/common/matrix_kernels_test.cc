@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -162,13 +164,17 @@ Matrix MakeOperand(size_t rows, size_t cols, Rng* rng, bool is_a,
   return ::testing::AssertionSuccess();
 }
 
-// Output rows x cols cover every tile remainder of both widths: 2-row pairs
+// Output rows x cols cover every tile remainder of every width: 2-row pairs
 // plus a single row; 8/4/2/1-column blocks of the 2-lane tile and
 // 16/8/4/2/1-column blocks of the 4-lane tile, on each side of every block
-// edge. 50 and 123 are the MLP's hidden and a9a input widths.
-const size_t kRows[] = {1, 2, 3, 8, 441};
-const size_t kCols[] = {1,  2,  3,  7,  8,  9,  15, 16,
-                        17, 31, 32, 33, 50, 123};
+// edge. The 8-lane tile runs 8-row tiles (1 to 3 vectors) or 4-row tiles
+// (4 to 7 vectors) with 4-, 2- and 1-row remainders, so rows 1 to 9 hit
+// each of them; its 56-column blocks end at 56 and 112, and its masked
+// last vector is full at 8, 16, 32, 56 and 64 columns. 50 and 123 are the
+// MLP's hidden and a9a input widths.
+const size_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 441};
+const size_t kCols[] = {1,  2,  3,  7,  8,  9,  15, 16, 17,  31,  32,
+                        33, 50, 55, 56, 57, 63, 64, 65, 112, 113, 123};
 const size_t kDepths[] = {1, 6, 33};
 const Flavour kFlavours[] = {Flavour::kDense, Flavour::kReluA,
                              Flavour::kSignedZeros, Flavour::kNonFiniteB,
@@ -317,18 +323,67 @@ TEST_P(MatrixKernelsWidthTest, MatMulTransposeIntoMatchesReferenceBitForBit) {
   }
 }
 
+// The output view ends exactly where its buffer's payload ends and is
+// followed by sentinel doubles: a store past `cols` on the last row, the one
+// place the bit comparisons above cannot see it, changes a sentinel.
+TEST_P(MatrixKernelsWidthTest, StoresStopAtTheEndOfTheOutput) {
+  constexpr size_t kSentinels = 16;
+  const uint64_t kSentinelBits = 0x7ff4dead5e771e11ull;  // a signalling NaN
+  double sentinel;
+  std::memcpy(&sentinel, &kSentinelBits, sizeof(sentinel));
+  auto sentinels_intact = [&](const std::vector<double>& buf, size_t n) {
+    for (size_t i = n; i < buf.size(); ++i) {
+      if (std::memcmp(&buf[i], &kSentinelBits, sizeof(double)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  Rng rng(404);
+  const size_t depth = 6;
+  for (size_t rows = 1; rows <= 9; ++rows) {
+    for (size_t cols : kCols) {
+      const size_t n = rows * cols;
+      Matrix a = MakeOperand(rows, depth, &rng, true, Flavour::kDense);
+      Matrix b = MakeOperand(depth, cols, &rng, false, Flavour::kDense);
+      std::vector<double> buf(n + kSentinels, sentinel);
+      internal::MatMulInto(GetParam(), a, b,
+                           MatrixView(buf.data(), rows, cols));
+      EXPECT_TRUE(sentinels_intact(buf, n))
+          << "MatMulInto " << rows << "x" << cols;
+
+      Matrix at = a.Transpose();
+      std::fill(buf.begin(), buf.end(), sentinel);
+      internal::TransposeMatMulInto(GetParam(), at, b,
+                                    MatrixView(buf.data(), rows, cols));
+      EXPECT_TRUE(sentinels_intact(buf, n))
+          << "TransposeMatMulInto " << rows << "x" << cols;
+
+      Matrix bt(depth, cols);
+      std::fill(buf.begin(), buf.end(), sentinel);
+      internal::MatMulTransposeInto(GetParam(), a, b.Transpose(), bt,
+                                    MatrixView(buf.data(), rows, cols));
+      EXPECT_TRUE(sentinels_intact(buf, n))
+          << "MatMulTransposeInto " << rows << "x" << cols;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     TileWidths, MatrixKernelsWidthTest,
-    ::testing::Values(TileWidth::kSse2, TileWidth::kAvx2),
+    ::testing::Values(TileWidth::kSse2, TileWidth::kAvx2, TileWidth::kAvx512),
     [](const ::testing::TestParamInfo<TileWidth>& info) {
       return std::string(internal::TileWidthName(info.param));
     });
 
 TEST(MatrixKernelsTest, DispatchesToTheWidestSupportedWidth) {
   EXPECT_TRUE(internal::TileWidthSupported(TileWidth::kSse2));
-  EXPECT_EQ(internal::DispatchedTileWidth(),
-            internal::TileWidthSupported(TileWidth::kAvx2) ? TileWidth::kAvx2
-                                                           : TileWidth::kSse2);
+  TileWidth widest = internal::TileWidthSupported(TileWidth::kAvx512)
+                         ? TileWidth::kAvx512
+                     : internal::TileWidthSupported(TileWidth::kAvx2)
+                         ? TileWidth::kAvx2
+                         : TileWidth::kSse2;
+  EXPECT_EQ(internal::DispatchedTileWidth(), widest);
 }
 
 TEST(MatrixKernelsTest, EmptyDepthYieldsPositiveZeros) {

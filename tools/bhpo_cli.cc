@@ -9,7 +9,9 @@
 //
 // Run with --help for the full flag list.
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -74,7 +76,8 @@ search options:
   --metric auto|accuracy|f1|r2                  (default: auto)
   --max-iter N           epochs per model fit   (default: 40)
   --seed N               master seed            (default: 42)
-  --threads N            rung + CV fold parallelism (default: 1)
+  --threads N            rung + CV fold parallelism, 1 to 256
+                                                (default: 1)
 
 enhanced-method options (the trailing '+' variants):
   --groups V             number of groups       (default: 2)
@@ -83,6 +86,14 @@ enhanced-method options (the trailing '+' variants):
   --k-gen N / --k-spe N  fold split             (default: 3 / 2)
 )";
 
+// The largest --threads accepted. ThreadPool lets the std::system_error of
+// a thread it cannot start escape, so a request the OS cannot meet must be
+// refused here, as InvalidArgument, before any pool thread starts.
+constexpr int kMaxThreads = 256;
+
+const char* const kMethodBases[] = {"random", "sha",  "hb",   "bohb",
+                                    "dehb",   "asha", "pasha"};
+
 Status RunCli(int argc, char** argv) {
   FlagParser flags(argc, argv);
   if (flags.Has("help")) {
@@ -90,15 +101,58 @@ Status RunCli(int argc, char** argv) {
     return Status::OK();
   }
 
-  // ---- data ----
+  // ---- read every flag ----
+  // All flags are read, and unknown ones rejected, before any data is
+  // touched, so a mistyped flag fails fast. --task and --format belong to
+  // --data and the enhanced-method options to the '+' methods; elsewhere
+  // they are left unread, so passing them is an unrecognized-flag error.
   std::string data_path = flags.GetString("data", "");
   std::string synthetic = flags.GetString("synthetic", "");
+  BHPO_ASSIGN_OR_RETURN(double test_fraction,
+                        flags.GetDouble("test-fraction", 0.2));
+  BHPO_ASSIGN_OR_RETURN(double scale, flags.GetDouble("scale", 0.25));
+  BHPO_ASSIGN_OR_RETURN(int seed, flags.GetInt("seed", 42));
+  std::string task_name, format;
+  if (!data_path.empty()) {
+    task_name = flags.GetString("task", "classification");
+    format = flags.GetString("format", "");
+  }
+
+  std::string method = flags.GetString("method", "sha+");
+  bool enhanced = !method.empty() && method.back() == '+';
+  std::string base = enhanced ? method.substr(0, method.size() - 1) : method;
+  BHPO_ASSIGN_OR_RETURN(int hps, flags.GetInt("hps", 4));
+  std::string save_path = flags.GetString("save-model", "");
+  std::string metric_name = flags.GetString("metric", "auto");
+  BHPO_ASSIGN_OR_RETURN(int max_iter, flags.GetInt("max-iter", 40));
+  BHPO_ASSIGN_OR_RETURN(int threads, flags.GetInt("threads", 1));
+  std::string fault_spec = flags.GetString("fault", "");
+  std::string checkpoint_path = flags.GetString("checkpoint", "");
+  bool resume = flags.Has("resume");
+  std::string json_path = flags.GetString("json", "");
+
+  int num_groups = 2, k_gen = 3, k_spe = 2;
+  ScoringOptions scoring;
+  scoring.use_variance = true;
+  if (enhanced) {
+    BHPO_ASSIGN_OR_RETURN(num_groups, flags.GetInt("groups", 2));
+    BHPO_ASSIGN_OR_RETURN(k_gen, flags.GetInt("k-gen", 3));
+    BHPO_ASSIGN_OR_RETURN(k_spe, flags.GetInt("k-spe", 2));
+    BHPO_ASSIGN_OR_RETURN(scoring.alpha, flags.GetDouble("alpha", 0.1));
+    BHPO_ASSIGN_OR_RETURN(scoring.beta_max,
+                          flags.GetDouble("beta-max", 10.0));
+  }
+  BHPO_RETURN_NOT_OK(flags.CheckUnrecognized());
+
+  // ---- validate ----
+  if (std::find(std::begin(kMethodBases), std::end(kMethodBases), base) ==
+      std::end(kMethodBases)) {
+    return Status::InvalidArgument("unknown --method '" + method + "'");
+  }
   if ((data_path.empty()) == (synthetic.empty())) {
     return Status::InvalidArgument(
         "provide exactly one of --data or --synthetic (see --help)");
   }
-  BHPO_ASSIGN_OR_RETURN(double test_fraction,
-                        flags.GetDouble("test-fraction", 0.2));
   if (!(test_fraction > 0.0 && test_fraction < 1.0)) {
     return Status::InvalidArgument("--test-fraction must be in (0, 1)");
   }
@@ -107,65 +161,24 @@ Status RunCli(int argc, char** argv) {
         "--test-fraction applies only to --data: a --synthetic stand-in "
         "has its own split");
   }
-  BHPO_ASSIGN_OR_RETURN(double scale, flags.GetDouble("scale", 0.25));
-  BHPO_ASSIGN_OR_RETURN(int seed, flags.GetInt("seed", 42));
-
-  TrainTestSplit data;
-  if (!synthetic.empty()) {
-    BHPO_ASSIGN_OR_RETURN(data, MakePaperDataset(synthetic,
-                                                 static_cast<uint64_t>(seed),
-                                                 scale));
-  } else {
-    std::string task_name = flags.GetString("task", "classification");
-    Task task;
-    if (task_name == "classification") {
-      task = Task::kClassification;
-    } else if (task_name == "regression") {
-      task = Task::kRegression;
-    } else {
-      return Status::InvalidArgument("unknown --task '" + task_name + "'");
-    }
-    std::string format = flags.GetString("format", "");
-    if (format.empty()) {
-      format = data_path.size() > 4 &&
-                       data_path.substr(data_path.size() - 4) == ".csv"
-                   ? "csv"
-                   : "libsvm";
-    }
-    Dataset full;
-    if (format == "csv") {
-      CsvOptions options;
-      options.task = task;
-      BHPO_ASSIGN_OR_RETURN(full, LoadCsv(data_path, options));
-    } else if (format == "libsvm") {
-      LibsvmOptions options;
-      options.task = task;
-      BHPO_ASSIGN_OR_RETURN(full, LoadLibsvm(data_path, options));
-    } else {
-      return Status::InvalidArgument("unknown --format '" + format + "'");
-    }
-    full = full.Standardized();
-    Rng split_rng(static_cast<uint64_t>(seed));
-    BHPO_ASSIGN_OR_RETURN(
-        data, SplitTrainTest(full, test_fraction, &split_rng,
-                             task == Task::kClassification));
+  Task task = Task::kClassification;
+  if (task_name == "regression") {
+    task = Task::kRegression;
+  } else if (!task_name.empty() && task_name != "classification") {
+    return Status::InvalidArgument("unknown --task '" + task_name + "'");
   }
-  std::printf("train: %s\n", data.train.Summary().c_str());
-  std::printf("test:  %s\n", data.test.Summary().c_str());
-
-  // ---- search setup ----
-  std::string method = flags.GetString("method", "sha+");
-  bool enhanced = !method.empty() && method.back() == '+';
-  std::string base = enhanced ? method.substr(0, method.size() - 1) : method;
-
-  BHPO_ASSIGN_OR_RETURN(int hps, flags.GetInt("hps", 4));
+  if (!data_path.empty() && format.empty()) {
+    format = data_path.size() > 4 &&
+                     data_path.substr(data_path.size() - 4) == ".csv"
+                 ? "csv"
+                 : "libsvm";
+  }
+  if (!format.empty() && format != "csv" && format != "libsvm") {
+    return Status::InvalidArgument("unknown --format '" + format + "'");
+  }
   if (hps < 1 || hps > 8) {
     return Status::InvalidArgument("--hps must be in [1, 8]");
   }
-  ConfigSpace space = ConfigSpace::PaperSpace(hps);
-
-  std::string save_path = flags.GetString("save-model", "");
-  std::string metric_name = flags.GetString("metric", "auto");
   EvalMetric metric;
   if (metric_name == "auto") {
     metric = EvalMetric::kAuto;
@@ -178,17 +191,57 @@ Status RunCli(int argc, char** argv) {
   } else {
     return Status::InvalidArgument("unknown --metric '" + metric_name + "'");
   }
+  if (threads < 1 || threads > kMaxThreads) {
+    return Status::InvalidArgument("--threads must be in [1, " +
+                                   std::to_string(kMaxThreads) + "]");
+  }
+  if (resume && checkpoint_path.empty()) {
+    return Status::InvalidArgument("--resume requires --checkpoint PATH");
+  }
+  if (!checkpoint_path.empty() && base != "sha") {
+    return Status::InvalidArgument(
+        "--checkpoint is supported for --method sha / sha+ only (got '" +
+        method + "')");
+  }
+  if (k_gen < 0 || k_spe < 0) {
+    return Status::InvalidArgument("--k-gen and --k-spe must be >= 0");
+  }
+  BHPO_RETURN_NOT_OK(scoring.Validate());
+
+  // ---- data ----
+  TrainTestSplit data;
+  if (!synthetic.empty()) {
+    BHPO_ASSIGN_OR_RETURN(data, MakePaperDataset(synthetic,
+                                                 static_cast<uint64_t>(seed),
+                                                 scale));
+  } else {
+    Dataset full;
+    if (format == "csv") {
+      CsvOptions options;
+      options.task = task;
+      BHPO_ASSIGN_OR_RETURN(full, LoadCsv(data_path, options));
+    } else {
+      LibsvmOptions options;
+      options.task = task;
+      BHPO_ASSIGN_OR_RETURN(full, LoadLibsvm(data_path, options));
+    }
+    full = full.Standardized();
+    Rng split_rng(static_cast<uint64_t>(seed));
+    BHPO_ASSIGN_OR_RETURN(
+        data, SplitTrainTest(full, test_fraction, &split_rng,
+                             task == Task::kClassification));
+  }
+  std::printf("train: %s\n", data.train.Summary().c_str());
+  std::printf("test:  %s\n", data.test.Summary().c_str());
+
+  // ---- search setup ----
+  ConfigSpace space = ConfigSpace::PaperSpace(hps);
 
   StrategyOptions options;
   options.metric = metric;
-  BHPO_ASSIGN_OR_RETURN(options.factory.max_iter,
-                        flags.GetInt("max-iter", 40));
+  options.factory.max_iter = max_iter;
   options.factory.seed = static_cast<uint64_t>(seed) + 1;
 
-  BHPO_ASSIGN_OR_RETURN(int threads, flags.GetInt("threads", 1));
-  if (threads < 1) {
-    return Status::InvalidArgument("--threads must be >= 1");
-  }
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   // Two-level parallelism on one shared pool: configurations across each
@@ -205,23 +258,12 @@ Status RunCli(int argc, char** argv) {
   // environment variable; without it, the null injector pointers below
   // defer to FaultInjector::Global().
   std::unique_ptr<FaultInjector> fault_injector;
-  std::string fault_spec = flags.GetString("fault", "");
   if (!fault_spec.empty()) {
     BHPO_ASSIGN_OR_RETURN(FaultPlan plan, ParseFaultSpec(fault_spec));
     fault_injector = std::make_unique<FaultInjector>(plan);
   }
   options.faults = fault_injector.get();
 
-  std::string checkpoint_path = flags.GetString("checkpoint", "");
-  bool resume = flags.Has("resume");
-  if (resume && checkpoint_path.empty()) {
-    return Status::InvalidArgument("--resume requires --checkpoint PATH");
-  }
-  if (!checkpoint_path.empty() && base != "sha") {
-    return Status::InvalidArgument(
-        "--checkpoint is supported for --method sha / sha+ only (got '" +
-        method + "')");
-  }
   CheckpointState resume_state;
   if (resume) {
     BHPO_ASSIGN_OR_RETURN(resume_state, LoadCheckpoint(checkpoint_path));
@@ -234,23 +276,12 @@ Status RunCli(int argc, char** argv) {
   std::unique_ptr<EvalStrategy> strategy;
   if (enhanced) {
     GroupingOptions grouping;
-    BHPO_ASSIGN_OR_RETURN(grouping.num_groups, flags.GetInt("groups", 2));
+    grouping.num_groups = num_groups;
     grouping.seed = static_cast<uint64_t>(seed) + 2;
     GenFoldsOptions folds;
-    BHPO_ASSIGN_OR_RETURN(int k_gen, flags.GetInt("k-gen", 3));
-    BHPO_ASSIGN_OR_RETURN(int k_spe, flags.GetInt("k-spe", 2));
-    if (k_gen < 0 || k_spe < 0) {
-      return Status::InvalidArgument("--k-gen and --k-spe must be >= 0");
-    }
     folds.k_gen = static_cast<size_t>(k_gen);
     folds.k_spe = static_cast<size_t>(k_spe);
     options.num_folds = folds.k_gen + folds.k_spe;
-    ScoringOptions scoring;
-    scoring.use_variance = true;
-    BHPO_ASSIGN_OR_RETURN(scoring.alpha, flags.GetDouble("alpha", 0.1));
-    BHPO_ASSIGN_OR_RETURN(scoring.beta_max,
-                          flags.GetDouble("beta-max", 10.0));
-    BHPO_RETURN_NOT_OK(scoring.Validate());
     BHPO_ASSIGN_OR_RETURN(
         strategy,
         EnhancedStrategy::Create(data.train, grouping, folds, scoring,
@@ -260,9 +291,6 @@ Status RunCli(int argc, char** argv) {
   }
   CachingStrategy caching(strategy.get(), &cache);
   EvalStrategy* eval = &caching;
-
-  std::string json_path = flags.GetString("json", "");
-  BHPO_RETURN_NOT_OK(flags.CheckUnrecognized());
 
   std::unique_ptr<HpoOptimizer> optimizer;
   RandomConfigSampler hb_sampler(&space);
