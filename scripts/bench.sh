@@ -19,7 +19,9 @@
 # pool.utilization) under "traced". The same commit runs a different matmul
 # tile on different CPUs, so the entry's "host" block names the tile width
 # each side dispatched to on this host, as bench/micro_mlp_fit reports it;
-# entries from different hosts compare only at equal widths.
+# entries from different hosts compare only at equal widths. The block also
+# names the C library ("libc", e.g. "glibc 2.36"): exp comes from libm, so
+# its bits, and every result that uses them, depend on it.
 # Each build goes to the .bench_build/ of its own checkout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -115,7 +117,7 @@ done
 
 python3 - "$runs_dir" "$parent_sha" "$change_sha" "$pairs" "$seconds" \
     "$parent_tile" "$change_tile" <<'EOF'
-import datetime, json, os, statistics, sys
+import datetime, json, os, platform, statistics, sys
 from pathlib import Path
 
 runs, parent, change, pairs, seconds, parent_tile, change_tile = sys.argv[1:8]
@@ -168,8 +170,9 @@ entry = {
         timespec="seconds"),
     "parent": parent, "change": change,
     "pairs": pairs, "seconds": float(seconds), "seed": 42,
-    "host": {"cpu": cpu, "nproc": os.cpu_count(), "tile": change_tile,
-             "parent_tile": parent_tile},
+    "host": {"cpu": cpu, "nproc": os.cpu_count(),
+             "libc": " ".join(filter(None, platform.libc_ver())) or "unknown",
+             "tile": change_tile, "parent_tile": parent_tile},
     "workloads": workloads,
     "traced": traced,
 }

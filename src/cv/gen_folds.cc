@@ -7,21 +7,28 @@
 
 namespace bhpo {
 
-Result<FoldSet> GenFolds(const Grouping& grouping,
-                         const std::vector<size_t>& subset,
-                         const GenFoldsOptions& options, Rng* rng) {
-  size_t k = options.k_gen + options.k_spe;
+Status GenFoldsOptions::Validate() const {
+  size_t k = k_gen + k_spe;
   // A sum smaller than either term wrapped round (e.g. a negative count
   // cast to size_t); the special-fold slots would then index past k.
-  if (k < options.k_gen || k < options.k_spe) {
+  if (k < k_gen || k < k_spe) {
     return Status::InvalidArgument("k_gen + k_spe overflows size_t");
   }
   if (k < 2) return Status::InvalidArgument("k_gen + k_spe must be >= 2");
+  // Written so that a NaN fails too.
+  if (!(special_bias > 0.0 && special_bias <= 1.0)) {
+    return Status::InvalidArgument("special_bias must be in (0, 1]");
+  }
+  return Status::OK();
+}
+
+Result<FoldSet> GenFolds(const Grouping& grouping,
+                         const std::vector<size_t>& subset,
+                         const GenFoldsOptions& options, Rng* rng) {
+  BHPO_RETURN_NOT_OK(options.Validate());
+  size_t k = options.k_gen + options.k_spe;
   if (subset.size() < k) {
     return Status::InvalidArgument("subset smaller than fold count");
-  }
-  if (options.special_bias <= 0.0 || options.special_bias > 1.0) {
-    return Status::InvalidArgument("special_bias must be in (0, 1]");
   }
   if (rng == nullptr) return Status::InvalidArgument("null rng");
 

@@ -15,6 +15,10 @@ struct GenFoldsOptions {
   // Fraction of a special fold drawn from its home group; the remainder is
   // stratified over the other groups.
   double special_bias = 0.8;
+
+  // InvalidArgument unless k_gen + k_spe >= 2 (without wrapping round) and
+  // special_bias is in (0, 1]. GenFolds calls it.
+  Status Validate() const;
 };
 
 // Builds k_gen general + k_spe special folds over `subset` (absolute row

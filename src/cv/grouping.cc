@@ -55,11 +55,14 @@ std::vector<std::vector<size_t>> Grouping::MembersWithin(
   return out;
 }
 
+Status GroupingOptions::Validate() const {
+  if (num_groups < 2) return Status::InvalidArgument("num_groups must be >= 2");
+  return Status::OK();
+}
+
 Result<Grouping> BuildGrouping(const Dataset& data,
                                const GroupingOptions& options) {
-  if (options.num_groups < 2) {
-    return Status::InvalidArgument("num_groups must be >= 2");
-  }
+  BHPO_RETURN_NOT_OK(options.Validate());
   if (data.n() < static_cast<size_t>(options.num_groups)) {
     return Status::InvalidArgument("fewer instances than groups");
   }

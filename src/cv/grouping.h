@@ -27,6 +27,9 @@ struct GroupingOptions {
   // Regression targets are quantile-binned into this many pseudo-classes.
   int regression_bins = 4;
   uint64_t seed = 0;
+
+  // InvalidArgument unless num_groups >= 2. BuildGrouping calls it.
+  Status Validate() const;
 };
 
 // The result of Operation 1: every instance carries a group id, and the

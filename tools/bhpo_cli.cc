@@ -203,10 +203,21 @@ Status RunCli(int argc, char** argv) {
         "--checkpoint is supported for --method sha / sha+ only (got '" +
         method + "')");
   }
+  if (max_iter < 1) return Status::InvalidArgument("--max-iter must be >= 1");
   if (k_gen < 0 || k_spe < 0) {
     return Status::InvalidArgument("--k-gen and --k-spe must be >= 0");
   }
-  BHPO_RETURN_NOT_OK(scoring.Validate());
+  GroupingOptions grouping;
+  grouping.num_groups = num_groups;
+  grouping.seed = static_cast<uint64_t>(seed) + 2;
+  GenFoldsOptions folds;
+  folds.k_gen = static_cast<size_t>(k_gen);
+  folds.k_spe = static_cast<size_t>(k_spe);
+  if (enhanced) {
+    BHPO_RETURN_NOT_OK(grouping.Validate());
+    BHPO_RETURN_NOT_OK(folds.Validate());
+    BHPO_RETURN_NOT_OK(scoring.Validate());
+  }
 
   // ---- data ----
   TrainTestSplit data;
@@ -275,12 +286,6 @@ Status RunCli(int argc, char** argv) {
 
   std::unique_ptr<EvalStrategy> strategy;
   if (enhanced) {
-    GroupingOptions grouping;
-    grouping.num_groups = num_groups;
-    grouping.seed = static_cast<uint64_t>(seed) + 2;
-    GenFoldsOptions folds;
-    folds.k_gen = static_cast<size_t>(k_gen);
-    folds.k_spe = static_cast<size_t>(k_spe);
     options.num_folds = folds.k_gen + folds.k_spe;
     BHPO_ASSIGN_OR_RETURN(
         strategy,
