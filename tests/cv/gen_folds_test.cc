@@ -1,5 +1,6 @@
 #include "cv/gen_folds.h"
 
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 
@@ -154,6 +155,28 @@ TEST(GenFoldsTest, RejectsBadArguments) {
   Result<FoldSet> wrap = GenFolds(f.grouping, AllIndices(20), wrapped, &rng);
   ASSERT_FALSE(wrap.ok());
   EXPECT_EQ(wrap.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Validate needs no grouping or data, so the CLI can run it before loading.
+TEST(GenFoldsTest, ValidateChecksTheOptionsAlone) {
+  EXPECT_TRUE(GenFoldsOptions{}.Validate().ok());
+  GenFoldsOptions one_fold;
+  one_fold.k_gen = 1;
+  one_fold.k_spe = 0;
+  EXPECT_EQ(one_fold.Validate().code(), StatusCode::kInvalidArgument);
+  GenFoldsOptions wrapped;
+  wrapped.k_gen = SIZE_MAX;
+  wrapped.k_spe = 7;
+  EXPECT_EQ(wrapped.Validate().code(), StatusCode::kInvalidArgument);
+  for (double bias : {0.0, -0.1, 1.5, std::nan("")}) {
+    GenFoldsOptions bad_bias;
+    bad_bias.special_bias = bias;
+    EXPECT_EQ(bad_bias.Validate().code(), StatusCode::kInvalidArgument)
+        << "special_bias " << bias;
+  }
+  GenFoldsOptions full_bias;
+  full_bias.special_bias = 1.0;
+  EXPECT_TRUE(full_bias.Validate().ok());
 }
 
 }  // namespace

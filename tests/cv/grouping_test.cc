@@ -156,6 +156,13 @@ TEST(BuildGroupingTest, RejectsInvalidOptions) {
   EXPECT_FALSE(BuildGrouping(data, opts).ok());
 }
 
+TEST(BuildGroupingTest, ValidateNeedsAtLeastTwoGroups) {
+  GroupingOptions opts;
+  EXPECT_TRUE(opts.Validate().ok());
+  opts.num_groups = 1;
+  EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(BuildGroupingTest, DeterministicForFixedSeed) {
   Dataset data = ClusteredData(150, 2, 17);
   GroupingOptions opts;
