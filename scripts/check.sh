@@ -10,7 +10,7 @@
 #   4. ASan+UBSan       cache + thread-pool + gather/tree-golden suites, the
 #                       matmul kernels at every tile width (the 4-lane
 #                       tile's unaligned edge loads, the 8-lane tile's
-#                       masked ones), the MLP goldens, every
+#                       masked ones), the tanh bodies, the MLP goldens, every
 #                       optimizer (suites + goldens), the CSV/LibSVM loader
 #                       suite, fold construction and grouping (GenFolds,
 #                       BuildGrouping, the k-fold builders) and the
@@ -114,6 +114,10 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/bhpo_common_test --gtest_filter='*MatrixKernels*:Matrix*'
   ./build-asan/tests/bhpo_ml_test \
     --gtest_filter='TreeLayoutBitExact*:AllCells/MlpGolden*'
+  # The tanh bodies on the recorded bits, the libm sweep and n = 0..17
+  # between sentinels: a masked 8-lane load or store past the end of the
+  # view shows up here.
+  ./build-asan/tests/bhpo_ml_test --gtest_filter='TanhBodies/*:TanhDispatch*'
   # The CSV and LibSVM loaders parse untrusted bytes: every reject path
   # runs under the sanitizers too.
   ./build-asan/tests/bhpo_data_test --gtest_filter='IoTest*'
